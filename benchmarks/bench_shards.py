@@ -11,10 +11,10 @@ The timed region is the paper's steady state — the predicate suite is
 frozen once (extractor discovery is global and runs up front, outside
 the timer, identically for both layouts) and every analysis round then
 loads, evaluates, and builds the AC-DAG from scratch against an empty
-matrix.  With a pre-frozen suite all three of those steps are per-shard
-work: shard tasks load their *own* traces, evaluate them into their own
-bitset matrix, and build their own partial DAG, so the whole round
-parallelizes and merges deterministically.
+matrix.  With a pre-frozen suite loading and evaluation are per-shard
+work: shard tasks load their *own* traces and evaluate them into their
+own bitset matrix, so those steps parallelize and merge
+deterministically; the AC-DAG is then one global build in the parent.
 
 The result lands in ``BENCH_shards.json``::
 

@@ -80,8 +80,8 @@ class ACDag:
         self.defs = defs or {}
         #: pid -> reason, for predicates dropped during construction
         self.discarded = discarded or {}
-        #: how many failed logs support this DAG; every edge's ``support``
-        #: attribute equals this (edge = precedes in *every* failed log)
+        #: how many failed logs support this DAG (every edge holds in
+        #: all of them)
         self.n_failed_logs = n_failed_logs
 
     # -- construction ------------------------------------------------------
@@ -139,7 +139,6 @@ class ACDag:
                 f"failure predicate {failure!r} unobserved in some failed log"
             )
 
-        support = len(failed_logs)
         graph = nx.DiGraph()
         graph.add_nodes_from(anchors)
         nodes = sorted(set(anchors) - {failure})
@@ -147,9 +146,9 @@ class ACDag:
             for p2 in nodes[i + 1 :]:
                 s1, s2 = anchors[p1], anchors[p2]
                 if all(a < b for a, b in zip(s1, s2)):
-                    graph.add_edge(p1, p2, support=support)
+                    graph.add_edge(p1, p2)
                 elif all(b < a for a, b in zip(s1, s2)):
-                    graph.add_edge(p2, p1, support=support)
+                    graph.add_edge(p2, p1)
         # F is the terminal event of a failed execution: predicates that
         # never anchor after it precede it (ties allowed — the crash is
         # recorded at the instant its method dies).  Predicates anchored
@@ -158,9 +157,9 @@ class ACDag:
         for pid in nodes:
             series = anchors[pid]
             if all(a <= f for a, f in zip(series, f_series)):
-                graph.add_edge(pid, failure, support=support)
+                graph.add_edge(pid, failure)
             elif all(f < a for a, f in zip(series, f_series)):
-                graph.add_edge(failure, pid, support=support)
+                graph.add_edge(failure, pid)
 
         # Keep only predicates that may cause F: its ancestors.
         keep = nx.ancestors(graph, failure) | {failure}
@@ -174,7 +173,7 @@ class ACDag:
             failure=failure,
             defs=dict(defs),
             discarded=discarded,
-            n_failed_logs=support,
+            n_failed_logs=len(failed_logs),
         )
 
     @classmethod
@@ -183,8 +182,8 @@ class ACDag:
         corpus shard) into the DAG a single build over all logs yields.
 
         An edge means "precedes in *every* failed log", so the merged
-        edge set is the intersection of the per-shard edge sets, with
-        per-edge support counters summed; nodes must survive every
+        edge set is the intersection of the per-shard edge sets and the
+        failed-log counts add up; nodes must survive every
         shard (a shard that discarded a pid proves the global build
         would too, since fewer logs can only *add* edges and therefore
         ancestors).  The ancestors-of-F filter is re-applied at the end.
@@ -211,9 +210,7 @@ class ACDag:
                 and b in nodes
                 and all(d.graph.has_edge(a, b) for d in dags[1:])
             ):
-                graph.add_edge(
-                    a, b, support=sum(d.graph[a][b]["support"] for d in dags)
-                )
+                graph.add_edge(a, b)
         discarded: dict[str, str] = {}
         for d in dags:
             discarded.update(d.discarded)
@@ -233,12 +230,11 @@ class ACDag:
     #
     # The edge relation is "P1 precedes P2 in every failed log", so a new
     # failed log can only *remove* edges (an edge that held in all n logs
-    # either also holds in log n+1 — its support counter advances to n+1
-    # — or it dies).  Node-wise, the candidate set is the
-    # fully-discriminative set, which likewise only shrinks under
-    # insertions (see IncrementalDebugger).  Both facts together make the
-    # AC-DAG maintainable without a rebuild; tests assert the patched
-    # graph equals `ACDag.build` over the whole log history.
+    # either also holds in log n+1 or it dies).  Node-wise, the candidate
+    # set is the fully-discriminative set, which likewise only shrinks
+    # under insertions (see IncrementalDebugger).  Both facts together
+    # make the AC-DAG maintainable without a rebuild; tests assert the
+    # patched graph equals `ACDag.build` over the whole log history.
 
     def update_failed_log(
         self, log: PredicateLog, policy: Optional[PrecedencePolicy] = None
@@ -246,9 +242,8 @@ class ACDag:
         """Patch the DAG under one newly-ingested failed log.
 
         Drops nodes the log does not observe (their recall just fell
-        below 1), drops edges whose precedence the log contradicts,
-        advances surviving edges' support counters, and re-applies the
-        ancestors-of-F filter.  Returns every pid removed.
+        below 1), drops edges whose precedence the log contradicts, and
+        re-applies the ancestors-of-F filter.  Returns every pid removed.
         """
         policy = policy or default_policy()
         removed: set[str] = set()
@@ -266,7 +261,7 @@ class ACDag:
                 self.graph.remove_node(pid)
             else:
                 anchors[pid] = policy.anchor(self.defs[pid], obs)
-        for a, b, data in list(self.graph.edges(data=True)):
+        for a, b in list(self.graph.edges):
             # Ties with F are allowed (the crash is recorded at the
             # instant its method dies); all other precedence is strict.
             holds = (
@@ -274,9 +269,7 @@ class ACDag:
                 if b == self.failure
                 else anchors[a] < anchors[b]
             )
-            if holds:
-                data["support"] = data.get("support", self.n_failed_logs) + 1
-            else:
+            if not holds:
                 self.graph.remove_edge(a, b)
         self.n_failed_logs += 1
         removed |= self._prune_non_ancestors()

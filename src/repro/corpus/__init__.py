@@ -19,7 +19,7 @@ into a durable service:
   maintaining SD counts, the fully-discriminative set, and the AC-DAG
   under log insertions, with a shard-parallel ``bootstrap`` fanning out
   through :mod:`repro.exec` (and a
-  :meth:`~IncrementalPipeline.rebuild` fallback the merged state is
+  :meth:`~IncrementalPipeline.rebuild` fallback the maintained state is
   asserted equal to);
 * :mod:`~repro.corpus.session` — :class:`CorpusSession`, an AID session
   that debugs from stored logs instead of re-running the workload.

@@ -51,9 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
-from ..core.acdag import ACDag
 from ..core.extraction import PredicateSuite
-from ..core.precedence import PrecedencePolicy
 from ..core.predicates import Observation
 from ..core.statistical import IncrementalDebugger, PredicateLog
 
@@ -581,8 +579,9 @@ class ShardEvaluation:
     post-evaluation memo state back to the parent.  ``logs`` are only
     populated on request (the matrix already holds everything a log
     contains, so shipping them across a process boundary would double
-    the payload); ``dag`` is this shard's partial AC-DAG when the caller
-    asked for per-shard DAG construction.
+    the payload).  A shard contributes evaluations and SD counters
+    only: the AC-DAG is one relation over all failed logs, built once
+    by the pipeline after the counters merge.
     """
 
     shard_id: str
@@ -592,9 +591,6 @@ class ShardEvaluation:
     logs: list[tuple[str, PredicateLog]] = field(default_factory=list)
     #: per-shard SD counters, merged deterministically by the pipeline
     counters: IncrementalDebugger = field(default_factory=IncrementalDebugger)
-    #: partial AC-DAG over this shard's failed logs (None when the shard
-    #: has no failed logs or DAG construction was not requested)
-    dag: Optional["ACDag"] = None
 
 
 @dataclass(frozen=True)
@@ -686,8 +682,6 @@ class ShardedEvalMatrix:
         traces: Sequence,
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        build_dags: bool = False,
-        policy: Optional[PrecedencePolicy] = None,
         columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         """Evaluate the suite over many traces, one task per shard.
@@ -701,14 +695,12 @@ class ShardedEvalMatrix:
         per-trace evaluation is independent — the outcome is
         bit-identical for any job count.
 
-        ``build_dags`` makes each task also build its shard's partial
-        AC-DAG (over the shard's failed logs, candidates = the shard's
-        *local* fully-discriminative set); ``ACDag.merge`` over those
-        partials equals one global build, because the global FD set is
-        exactly the intersection of the shard-local ones.  With
-        ``return_logs=False`` the (bulky) per-trace logs stay in the
-        worker — the matrix carries the same information, and
-        :meth:`reconstruct_log` rebuilds any log from it for free.
+        Each task evaluates and counts; it builds no AC-DAG (that is one
+        global build after the counters merge, see
+        :mod:`repro.corpus.pipeline`).  With ``return_logs=False`` the
+        (bulky) per-trace logs stay in the worker — the matrix carries
+        the same information, and :meth:`reconstruct_log` rebuilds any
+        log from it for free.
 
         ``columnar`` selects the per-shard evaluation strategy: sweep
         the shard's columnar trace table (:meth:`EvalMatrix.
@@ -726,8 +718,7 @@ class ShardedEvalMatrix:
                 )
             groups.setdefault(self.store.shard_id(fp), []).append(trace)
         return self._evaluate_groups(
-            suite, groups, engine, False, return_logs, build_dags, policy,
-            columnar,
+            suite, groups, engine, False, return_logs, columnar
         )
 
     def evaluate_fingerprints(
@@ -736,8 +727,6 @@ class ShardedEvalMatrix:
         fingerprints: Sequence[str],
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        build_dags: bool = False,
-        policy: Optional[PrecedencePolicy] = None,
         columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         """Like :meth:`evaluate_shards`, but each shard task *loads its
@@ -750,8 +739,7 @@ class ShardedEvalMatrix:
         for fp in fingerprints:
             groups.setdefault(self.store.shard_id(fp), []).append(fp)
         return self._evaluate_groups(
-            suite, groups, engine, True, return_logs, build_dags, policy,
-            columnar,
+            suite, groups, engine, True, return_logs, columnar
         )
 
     def _evaluate_groups(
@@ -761,8 +749,6 @@ class ShardedEvalMatrix:
         engine: Optional["ExecutionEngine"],
         load: bool,
         return_logs: bool,
-        build_dags: bool,
-        policy: Optional[PrecedencePolicy],
         columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         sids = sorted(groups)
@@ -770,12 +756,10 @@ class ShardedEvalMatrix:
             self.shard(sid)  # load before dispatch (workers only read files)
         shards = self._shards
         store = self.store
-        failure_pids = suite.failure_pids() if build_dags else []
         use_columnar = columnar_enabled() if columnar is None else bool(columnar)
 
         def evaluate_shard(sid: str) -> ShardEvaluation:
             evaluation = ShardEvaluation(shard_id=sid, matrix=shards[sid])
-            failed_logs: list[PredicateLog] = []
             fingerprints: list[str] = []
             # Columnar strategy: one whole-shard sweep per undecided
             # pid over the shard's trace table (built lazily, keyed by
@@ -809,8 +793,6 @@ class ShardedEvalMatrix:
                     fingerprints.append(fp)
                     if return_logs:
                         evaluation.logs.append((fp, log))
-                    if log.failed:
-                        failed_logs.append(log)
             else:
                 for item in groups[sid]:
                     trace = store.load(item) if load else item
@@ -818,39 +800,12 @@ class ShardedEvalMatrix:
                     fingerprints.append(trace.fingerprint)
                     if return_logs:
                         evaluation.logs.append((trace.fingerprint, log))
-                    if log.failed:
-                        failed_logs.append(log)
             # SD counters by popcount over the group's freshly-decided
             # columns — the same counting kernel every layer shares —
             # instead of a per-log observation walk.
             evaluation.counters = evaluation.matrix.sd_counters(
                 suite, fingerprints
             )
-            if build_dags and failed_logs:
-                # The shard's failure pid and FD set match the global
-                # ones wherever they overlap: a failure predicate is
-                # observed in either all or none of the (same-signature)
-                # failed logs, and the global FD set is the intersection
-                # of the shard-local ones — which is what lets
-                # ACDag.merge reduce these partials exactly.
-                counts = evaluation.counters.counts
-                failure = next(
-                    (p for p in failure_pids if counts.get(p, [0, 0])[0]),
-                    None,
-                )
-                if failure is not None:
-                    local_fd = [
-                        pid
-                        for pid in evaluation.counters.fully_discriminative_pids()
-                        if pid not in set(failure_pids)
-                    ]
-                    evaluation.dag = ACDag.build(
-                        defs=dict(suite.defs),
-                        failed_logs=failed_logs,
-                        failure=failure,
-                        policy=policy,
-                        candidate_pids=local_fd,
-                    )
             return evaluation
 
         parallel = (

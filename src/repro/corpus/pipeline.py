@@ -26,11 +26,13 @@ The reduction is deterministic whatever the schedule:
 * per-shard **SD counters** (:class:`IncrementalDebugger`) merge by
   plain summation, in sorted shard order;
 * **logs** reassemble into the canonical corpus order (successes then
-  failures, fingerprint-sorted) — identical to a serial walk;
-* per-shard **AC-DAGs** (each built over its shard's failed logs) merge
-  by edge intersection with summed support counters
-  (:meth:`~repro.core.acdag.ACDag.merge`) — the same patches a serial
-  ingest of those logs would have applied.
+  failures, fingerprint-sorted) — identical to a serial walk.
+
+Shard tasks only evaluate and count.  The **AC-DAG** is one relation
+over all failed logs (an edge is "precedes in *every* failed log"), so
+it is built once, after the counter merge has fixed the global failure
+predicate and FD set, over the failed logs rebuilt from the matrix
+bitsets — splitting it per shard would buy nothing.
 
 Invariants
 ----------
@@ -196,8 +198,9 @@ class IncrementalPipeline:
 
         All evaluation goes through the sharded matrix, so a warm
         restart performs zero fresh evaluations; with an ``engine``,
-        evaluation and DAG construction fan out one task per shard and
-        merge deterministically (identical state for any job count).
+        evaluation fans out one task per shard and the counters merge
+        deterministically (identical state for any job count).  The
+        AC-DAG is then built once, over every on-signature failed log.
         """
         from ..api.events import CorpusLoaded, LogsEvaluated, SuiteFrozen
 
@@ -265,13 +268,11 @@ class IncrementalPipeline:
                     corpus.successes + corpus.failures,
                     engine=engine,
                     return_logs=False,
-                    build_dags=True,
-                    policy=self.policy,
                 )
         else:
             # Pre-frozen suite: nothing global needs the trace bodies,
             # so shard tasks load their own traces — deserialization
-            # parallelizes along with evaluation and DAG construction.
+            # parallelizes along with evaluation.
             # Same canonical order as a labeled_corpus walk: successes
             # then on-signature failures, each fingerprint-sorted.
             ordered = sorted(self.store.entries.items())
@@ -291,8 +292,6 @@ class IncrementalPipeline:
                     fingerprints,
                     engine=engine,
                     return_logs=False,
-                    build_dags=True,
-                    policy=self.policy,
                 )
         # Logs stay in the workers; the canonical-order list (successes
         # then failures, fingerprint-sorted — independent of how shards
@@ -320,17 +319,13 @@ class IncrementalPipeline:
                 raise CorpusError("no failure predicate was extracted")
             self.failure_pid = failure_pids[0]
             self.fully = self._derive_fully()
-            dags = [ev.dag for ev in evaluations if ev.dag is not None]
-            if not dags:
-                raise CorpusError("corpus has no failed traces to analyze")
-            # Each shard built its partial DAG over its own failed logs;
-            # the merge (edge intersection, summed supports, re-applied
-            # ancestors-of-F filter) equals one build over all failed logs —
-            # after restricting to the *global* FD set, because a shard
-            # holding only successes contributes no partial DAG yet can
-            # still break another shard's local candidates' precision.
-            self.dag = ACDag.merge(dags)
-            self.dag.restrict_to(set(self.fully) | {self.failure_pid})
+            self.dag = ACDag.build(
+                defs=dict(self.suite.defs),
+                failed_logs=[log for log in self.logs if log.failed],
+                failure=self.failure_pid,
+                policy=self.policy,
+                candidate_pids=self.fully,
+            )
         self._bootstrapped = True
         from ..api.events import DagBuilt
 
@@ -397,8 +392,8 @@ class IncrementalPipeline:
         self.fully = new_fully
         if failed:
             # Recall casualties are exactly the pids the new log does not
-            # observe; update_failed_log drops them while advancing the
-            # per-edge support counters.
+            # observe; update_failed_log drops them along with the edges
+            # the log contradicts.
             removed |= self.dag.update_failed_log(log, policy=self.policy)
         elif removed:
             # A success can only break precision; edges are untouched.

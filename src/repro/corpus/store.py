@@ -72,6 +72,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -145,11 +146,21 @@ class TraceEntry:
 
 
 def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
-    """Atomic JSON write: temp file in the same directory + rename."""
+    """Atomic JSON write: temp file in the same directory + rename.
+
+    The temp name is unique per write, so two writers to one corpus
+    (``explore --corpus`` next to ``corpus ingest``) never clobber each
+    other's temp file; it is created with the default file mode, and
+    removed again if the write or the rename fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, indent=indent, sort_keys=True))
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x") as handle:
+            handle.write(json.dumps(payload, indent=indent, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class TraceStore:
