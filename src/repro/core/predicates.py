@@ -90,34 +90,19 @@ class PredicateDef:
     #: evaluated through :meth:`evaluate`.
     supports_indexed: bool = False
 
-    #: Columnar batch protocol (see :mod:`repro.corpus.columnar`): a
-    #: predicate that can be computed from a shard's structure-of-arrays
-    #: trace table sets this and implements :meth:`evaluate_columnar`,
-    #: letting the kernel sweep a whole shard's column runs in one pass
-    #: instead of evaluating trace by trace.  Predicates that need the
-    #: object model (e.g. access lists with overlap windows) leave it
-    #: ``False`` and fall back to the per-trace paths.
-    supports_columnar: bool = False
-
     def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
+        """The window in which the predicate held on ``trace``, or
+        ``None``.  Indexed predicates answer through their key lookups;
+        the rest override this."""
+        if self.supports_indexed:
+            return self.evaluate_indexed(trace.lookup)
         raise NotImplementedError
 
     def evaluate_indexed(self, find) -> Optional[Observation]:
         """Evaluate against a key resolver (``find(key) -> execution or
-        None``).  Only meaningful when :attr:`supports_indexed`; for
-        those classes ``evaluate(trace)`` is exactly
+        None``).  Only meaningful when :attr:`supports_indexed`, in
+        which case the default :meth:`evaluate` is exactly
         ``evaluate_indexed(trace.lookup)``."""
-        raise NotImplementedError
-
-    def evaluate_columnar(self, table) -> dict:
-        """Evaluate against one shard's columnar trace table in one pass.
-
-        Returns ``{trace_row: Observation}`` covering exactly the table
-        rows where the predicate holds — for every row ``r`` the entry
-        equals ``evaluate(table.decode(r))``, and absent rows are the
-        Nones (asserted property-style in tests/test_columnar.py).
-        Only meaningful when :attr:`supports_columnar`.
-        """
         raise NotImplementedError
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -215,9 +200,6 @@ class DataRacePredicate(PredicateDef):
             f"concurrently without a common lock, at least one writing"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
     def evaluate_indexed(self, find) -> Optional[Observation]:
         ma, mb = find(self.a), find(self.b)
         if ma is None or mb is None or not ma.overlaps(mb):
@@ -297,7 +279,6 @@ class MethodFailsPredicate(PredicateDef):
     fallback: object = None
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -311,9 +292,6 @@ class MethodFailsPredicate(PredicateDef):
     def description(self) -> str:
         return f"method {self.key} fails with {self.exc_kind}"
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
     def evaluate_indexed(self, find) -> Optional[Observation]:
         m = find(self.key)
         if m is None or m.exception != self.exc_kind:
@@ -322,24 +300,6 @@ class MethodFailsPredicate(PredicateDef):
             m.end_time, m.end_time,
             start_lamport=m.end_lamport, end_lamport=m.end_lamport,
         )
-
-    def evaluate_columnar(self, table) -> dict:
-        exc_idx = table.string_index(self.exc_kind)
-        if exc_idx is None:
-            return {}
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        excs = run.column("c_exc")
-        ends = run.column("c_end")
-        elams = run.column("c_elam")
-        return {
-            row: Observation(
-                ends[i], ends[i], start_lamport=elams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if excs[i] == exc_idx
-        }
 
     def interventions(self) -> tuple[Intervention, ...]:
         return (
@@ -361,7 +321,6 @@ class TooSlowPredicate(PredicateDef):
     correct_return: object = None
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -378,9 +337,6 @@ class TooSlowPredicate(PredicateDef):
             f"(duration > {self.threshold} ticks seen in successful runs)"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
     def evaluate_indexed(self, find) -> Optional[Observation]:
         m = find(self.key)
         if m is None or m.duration <= self.threshold:
@@ -395,24 +351,6 @@ class TooSlowPredicate(PredicateDef):
             m.start_time + self.threshold, m.end_time,
             start_lamport=m.start_lamport, end_lamport=m.end_lamport,
         )
-
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        starts = run.column("c_start")
-        ends = run.column("c_end")
-        slams = run.column("c_slam")
-        elams = run.column("c_elam")
-        threshold = self.threshold
-        return {
-            row: Observation(
-                starts[i] + threshold, ends[i],
-                start_lamport=slams[i], end_lamport=elams[i],
-            )
-            for i, row in enumerate(run.traces)
-            if ends[i] - starts[i] > threshold
-        }
 
     def interventions(self) -> tuple[Intervention, ...]:
         # "Prematurely return from M the correct value that M returns in
@@ -437,7 +375,6 @@ class TooFastPredicate(PredicateDef):
     threshold: int  # min duration over successful executions
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -454,9 +391,6 @@ class TooFastPredicate(PredicateDef):
             f"(duration < {self.threshold} ticks seen in successful runs)"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
     def evaluate_indexed(self, find) -> Optional[Observation]:
         m = find(self.key)
         if m is None or m.duration >= self.threshold:
@@ -465,23 +399,6 @@ class TooFastPredicate(PredicateDef):
             m.start_time, m.end_time,
             start_lamport=m.start_lamport, end_lamport=m.end_lamport,
         )
-
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        starts = run.column("c_start")
-        ends = run.column("c_end")
-        slams = run.column("c_slam")
-        elams = run.column("c_elam")
-        threshold = self.threshold
-        return {
-            row: Observation(
-                starts[i], ends[i], start_lamport=slams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if ends[i] - starts[i] < threshold
-        }
 
     def interventions(self) -> tuple[Intervention, ...]:
         # "Insert delay before M's return statement" (Figure 2).
@@ -500,7 +417,6 @@ class WrongReturnPredicate(PredicateDef):
     correct_value: object
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -517,9 +433,6 @@ class WrongReturnPredicate(PredicateDef):
             f"(successful executions return {self.correct_value!r})"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
     def evaluate_indexed(self, find) -> Optional[Observation]:
         m = find(self.key)
         if m is None or m.exception is not None:
@@ -530,27 +443,6 @@ class WrongReturnPredicate(PredicateDef):
             m.end_time, m.end_time,
             start_lamport=m.end_lamport, end_lamport=m.end_lamport,
         )
-
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        # Return values are interned by canonical JSON; comparing the
-        # decoded pool once replicates ``==`` against every execution.
-        correct = {
-            i for i, v in enumerate(table.decoded_values) if v == self.correct_value
-        }
-        rets = run.column("c_ret")
-        excs = run.column("c_exc")
-        ends = run.column("c_end")
-        elams = run.column("c_elam")
-        return {
-            row: Observation(
-                ends[i], ends[i], start_lamport=elams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if excs[i] < 0 and rets[i] not in correct
-        }
 
     def interventions(self) -> tuple[Intervention, ...]:
         return (
@@ -577,7 +469,6 @@ class OrderViolationPredicate(PredicateDef):
     second: MethodKey
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -594,9 +485,6 @@ class OrderViolationPredicate(PredicateDef):
             f"has completed (successful runs always order them)"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
     def evaluate_indexed(self, find) -> Optional[Observation]:
         mf, ms = find(self.first), find(self.second)
         if mf is None or ms is None:
@@ -608,32 +496,6 @@ class OrderViolationPredicate(PredicateDef):
             start_lamport=ms.start_lamport,
             end_lamport=min(mf.end_lamport, ms.end_lamport),
         )
-
-    def evaluate_columnar(self, table) -> dict:
-        run_first = table.key_run(self.first)
-        run_second = table.key_run(self.second)
-        if run_first is None or run_second is None:
-            return {}
-        f_ends = run_first.column("c_end")
-        f_elams = run_first.column("c_elam")
-        first_by_trace = {
-            row: (f_ends[i], f_elams[i]) for i, row in enumerate(run_first.traces)
-        }
-        s_starts = run_second.column("c_start")
-        s_ends = run_second.column("c_end")
-        s_slams = run_second.column("c_slam")
-        s_elams = run_second.column("c_elam")
-        out = {}
-        for i, row in enumerate(run_second.traces):
-            first = first_by_trace.get(row)
-            if first is None or s_starts[i] >= first[0]:
-                continue
-            out[row] = Observation(
-                s_starts[i], min(first[0], s_ends[i]),
-                start_lamport=s_slams[i],
-                end_lamport=min(first[1], s_elams[i]),
-            )
-        return out
 
     def interventions(self) -> tuple[Intervention, ...]:
         return (
@@ -659,7 +521,6 @@ class ExecutedPredicate(PredicateDef):
     skip_value: object = None
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -673,9 +534,6 @@ class ExecutedPredicate(PredicateDef):
     def description(self) -> str:
         return f"method {self.key} executes (it never runs in successful executions)"
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
     def evaluate_indexed(self, find) -> Optional[Observation]:
         m = find(self.key)
         if m is None or m.body_skipped:
@@ -684,23 +542,6 @@ class ExecutedPredicate(PredicateDef):
             m.start_time, m.end_time,
             start_lamport=m.start_lamport, end_lamport=m.end_lamport,
         )
-
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        starts = run.column("c_start")
-        ends = run.column("c_end")
-        slams = run.column("c_slam")
-        elams = run.column("c_elam")
-        skips = run.column("c_skip")
-        return {
-            row: Observation(
-                starts[i], ends[i], start_lamport=slams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if not skips[i]
-        }
 
     def interventions(self) -> tuple[Intervention, ...]:
         return (
@@ -725,10 +566,6 @@ class CompoundAndPredicate(PredicateDef):
     """
 
     parts: tuple[PredicateDef, ...]
-
-    @property
-    def supports_columnar(self) -> bool:  # type: ignore[override]
-        return bool(self.parts) and all(p.supports_columnar for p in self.parts)
 
     @property
     def pid(self) -> str:
@@ -756,25 +593,6 @@ class CompoundAndPredicate(PredicateDef):
             end_lamport=None,
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        parts = [p.evaluate_columnar(table) for p in self.parts]
-        rows = set(parts[0])
-        for sweep in parts[1:]:
-            rows &= set(sweep)
-        out = {}
-        for row in rows:
-            obs = [sweep[row] for sweep in parts]
-            lamports = [o.start_lamport for o in obs]
-            out[row] = Observation(
-                max(o.start for o in obs),
-                max(o.end for o in obs),
-                start_lamport=(
-                    max(lamports) if all(x is not None for x in lamports) else None
-                ),
-                end_lamport=None,
-            )
-        return out
-
     def interventions(self) -> tuple[Intervention, ...]:
         result: list[Intervention] = []
         for p in self.parts:
@@ -791,7 +609,6 @@ class FailurePredicate(PredicateDef):
 
     signature: str
 
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -810,14 +627,6 @@ class FailurePredicate(PredicateDef):
             return None
         t = trace.failure.time
         return Observation(t, t)
-
-    def evaluate_columnar(self, table) -> dict:
-        times = table.col("t_ftime")
-        return {
-            row: Observation(times[row], times[row])
-            for row, signature in enumerate(table.signatures)
-            if signature == self.signature
-        }
 
     def interventions(self) -> tuple[Intervention, ...]:
         raise LookupError("the failure predicate F cannot be intervened on")

@@ -20,7 +20,9 @@ corpus-wide**:
 Invariants
 ----------
 * a (predicate, trace) pair is evaluated at most once corpus-wide: a
-  decided pair is always answered from the bitsets;
+  decided pair is always answered from the bitsets, and a trace whose
+  every pair is decided is never loaded (the manifest supplies its
+  label, seed and failure signature);
 * pids do not encode every predicate parameter (a ``slow[...]``
   threshold moves as the corpus grows), so each row also records the
   predicate's full
@@ -61,20 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 MATRIX_VERSION = 1
 MATRIX_INDEX_VERSION = 2
-
-
-def columnar_enabled() -> bool:
-    """Default for the batch paths' ``columnar`` switch.
-
-    On unless ``REPRO_COLUMNAR`` is set to an explicit off value — the
-    escape hatch (and the differential-parity tests' reference path).
-    """
-    return os.environ.get("REPRO_COLUMNAR", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
 
 
 def _obs_to_list(obs: Observation) -> list:
@@ -169,13 +157,12 @@ class EvalMatrix:
     # -- the memoized evaluation loop ------------------------------------
 
     def log_for(self, suite: PredicateSuite, trace) -> PredicateLog:
-        """Evaluate the suite on one trace, through the memo.
+        """Evaluate the suite on one in-memory trace, through the memo.
 
         The trace must carry a ``fingerprint`` (corpus-loaded traces do;
         for live traces compute one via
-        :func:`repro.sim.serialize.trace_fingerprint` first).  Pairs
-        already decided are answered from the bitsets; only new pairs
-        call ``PredicateDef.evaluate``.
+        :func:`repro.sim.serialize.trace_fingerprint` first).  A thin
+        call into :meth:`log_for_entry`.
         """
         fp = getattr(trace, "fingerprint", None)
         if fp is None:
@@ -183,194 +170,68 @@ class EvalMatrix:
                 "trace has no fingerprint; corpus evaluation is memoized "
                 "by content address"
             )
-        col = self.column(fp, trace.failed)
+        return self.log_for_entry(
+            suite,
+            fp,
+            trace.failed,
+            trace.seed,
+            trace.failure.signature if trace.failure is not None else None,
+            load=lambda: trace,
+        )
+
+    def log_for_entry(
+        self,
+        suite: PredicateSuite,
+        fingerprint: str,
+        failed: bool,
+        seed: int,
+        signature: Optional[str],
+        load: Callable[[], object],
+    ) -> PredicateLog:
+        """Evaluate the suite on one trace given by its manifest facts.
+
+        Pairs already decided are answered from the bitsets.  Only when
+        some pid is undecided for the trace's column is ``load()``
+        called for the trace body, and one single-pass kernel
+        evaluation then covers every undecided pid — so a fully-decided
+        trace is never read.  The log is assembled like
+        :meth:`reconstruct_log`.
+        """
+        col = self.column(fingerprint, failed)
         mask = 1 << col
-        observations: dict[str, Observation] = {}
-        row_obs = self.observations.get(fp)
         suite_digests = self._digests_for(suite)
         undecided: list[str] = []
-        for pid in suite.defs:
-            digest = suite_digests[pid]
+        for pid, digest in suite_digests.items():
             if self.digests.get(pid) != digest:
                 # New predicate, or a same-pid predicate whose parameters
                 # drifted: invalidate the whole row.
                 self._drop_row(pid)
                 self.digests[pid] = digest
                 undecided.append(pid)
-                continue
-            if self.evaluated.get(pid, 0) & mask:
-                self.pair_hits += 1
-                if self.observed.get(pid, 0) & mask:
-                    observations[pid] = _obs_from_list(row_obs[pid])
-            else:
+            elif not self.evaluated.get(pid, 0) & mask:
                 undecided.append(pid)
+        self.pair_hits += len(suite_digests) - len(undecided)
         if undecided:
-            # One single-pass kernel evaluation covers every undecided
-            # pid; results land straight in the bitset columns.
             fresh = suite.kernel().observations(
-                trace,
+                load(),
                 only=(
                     None
-                    if len(undecided) == len(suite.defs)
+                    if len(undecided) == len(suite_digests)
                     else frozenset(undecided)
                 ),
             )
             self.pair_evaluations += len(undecided)
             self.kernel_calls += 1
+            row_obs = self.observations.get(fingerprint)
             for pid in undecided:
                 self.evaluated[pid] = self.evaluated.get(pid, 0) | mask
                 obs = fresh.get(pid)
                 if obs is not None:
                     self.observed[pid] = self.observed.get(pid, 0) | mask
                     if row_obs is None:
-                        row_obs = self.observations.setdefault(fp, {})
+                        row_obs = self.observations.setdefault(fingerprint, {})
                     row_obs[pid] = _obs_to_list(obs)
-                    observations[pid] = obs
-            if len(undecided) < len(suite.defs):
-                # Memo hits and fresh results interleave; restore the
-                # suite's definition order (the per-predicate loop's).
-                observations = {
-                    pid: observations[pid]
-                    for pid in suite.defs
-                    if pid in observations
-                }
-        return PredicateLog(
-            observations=observations,
-            failed=trace.failed,
-            seed=trace.seed,
-            failure_signature=(
-                trace.failure.signature if trace.failure is not None else None
-            ),
-        )
-
-    def log_for_table(
-        self,
-        suite: PredicateSuite,
-        table,
-        entries: Sequence[tuple[str, bool, int, Optional[str]]],
-        load_trace: Callable[[str], object],
-    ) -> list[PredicateLog]:
-        """Batch :meth:`log_for` over one shard's columnar trace table.
-
-        ``entries`` is the shard's trace group in iteration order —
-        ``(fingerprint, failed, seed, failure_signature)`` tuples with
-        distinct fingerprints — and ``table`` the shard's
-        :class:`~repro.corpus.columnar.ShardTable`.  Every
-        columnar-capable undecided pid is swept over the whole table in
-        one kernel pass; pids without columnar support (and traces
-        missing from the table) fall back to the per-trace object path,
-        loading the trace lazily via ``load_trace``.  Bitsets,
-        observation side table, counters (``pair_hits`` /
-        ``pair_evaluations`` / ``kernel_calls``), and the returned logs
-        are identical to calling :meth:`log_for` per entry — asserted
-        property-style in tests/test_columnar.py.
-        """
-        kernel = suite.kernel()
-        suite_digests = self._digests_for(suite)
-        for pid in suite.defs:
-            digest = suite_digests[pid]
-            if self.digests.get(pid) != digest:
-                self._drop_row(pid)
-                self.digests[pid] = digest
-        cols: list[int] = []
-        group_mask = 0
-        for fp, failed, _, _ in entries:
-            col = self.column(fp, failed)
-            cols.append(col)
-            group_mask |= 1 << col
-        rows = [table.row_of(fp) for fp, _, _, _ in entries]
-        table_mask = 0
-        row_to_col: dict[int, int] = {}
-        fp_by_col: dict[int, str] = {}
-        for (fp, _, _, _), col, row in zip(entries, cols, rows):
-            fp_by_col[col] = fp
-            if row is not None:
-                table_mask |= 1 << col
-                row_to_col[row] = col
-        # Counter parity with the per-trace loop: one hit per already-
-        # decided (pid, trace) pair, one fresh evaluation per undecided
-        # pair, one kernel call per trace with any undecided pid.
-        undecided_by_pid: dict[str, int] = {}
-        any_undecided = 0
-        for pid in suite.defs:
-            decided = self.evaluated.get(pid, 0)
-            undecided = group_mask & ~decided
-            self.pair_hits += (group_mask & decided).bit_count()
-            if undecided:
-                undecided_by_pid[pid] = undecided
-                any_undecided |= undecided
-                self.pair_evaluations += undecided.bit_count()
-        self.kernel_calls += any_undecided.bit_count()
-        columnar_pids = kernel.columnar_pids
-        sweep_pids = frozenset(
-            pid
-            for pid, bits in undecided_by_pid.items()
-            if pid in columnar_pids and bits & table_mask
-        )
-        sweeps = kernel.sweep(table, only=sweep_pids) if sweep_pids else {}
-        # Apply the sweeps: whole-bitset ORs per pid, observations from
-        # the sweep's row dict (off-group table rows are skipped).
-        fallback: dict[int, list[str]] = {}
-        for pid, bits in undecided_by_pid.items():
-            if pid in columnar_pids:
-                in_table = bits & table_mask
-                if in_table:
-                    self.evaluated[pid] = self.evaluated.get(pid, 0) | in_table
-                    observed_bits = 0
-                    for row, obs in sweeps[pid].items():
-                        col = row_to_col.get(row)
-                        if col is None or not (in_table >> col) & 1:
-                            continue
-                        observed_bits |= 1 << col
-                        self.observations.setdefault(fp_by_col[col], {})[
-                            pid
-                        ] = _obs_to_list(obs)
-                    if observed_bits:
-                        self.observed[pid] = (
-                            self.observed.get(pid, 0) | observed_bits
-                        )
-                rest = bits & ~table_mask
-            else:
-                rest = bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                fallback.setdefault(low.bit_length() - 1, []).append(pid)
-        # Object-path fallback, one kernel call per affected trace.
-        if fallback:
-            col_to_index = {col: j for j, col in enumerate(cols)}
-            for col in sorted(fallback, key=lambda c: col_to_index[c]):
-                pids = fallback[col]
-                fp = fp_by_col[col]
-                trace = load_trace(fp)
-                fresh = kernel.observations(trace, only=frozenset(pids))
-                mask = 1 << col
-                for pid in pids:
-                    self.evaluated[pid] = self.evaluated.get(pid, 0) | mask
-                    obs = fresh.get(pid)
-                    if obs is not None:
-                        self.observed[pid] = self.observed.get(pid, 0) | mask
-                        self.observations.setdefault(fp, {})[pid] = _obs_to_list(
-                            obs
-                        )
-        # Assemble logs (suite definition order, like log_for's output).
-        logs: list[PredicateLog] = []
-        for (fp, failed, seed, signature), col in zip(entries, cols):
-            mask = 1 << col
-            row_obs = self.observations.get(fp, {})
-            logs.append(
-                PredicateLog(
-                    observations={
-                        pid: _obs_from_list(row_obs[pid])
-                        for pid in suite.defs
-                        if self.observed.get(pid, 0) & mask
-                    },
-                    failed=failed,
-                    seed=seed,
-                    failure_signature=signature,
-                )
-            )
-        return logs
+        return self._assemble_log(suite, fingerprint, mask, failed, seed, signature)
 
     def reconstruct_log(
         self,
@@ -380,21 +241,34 @@ class EvalMatrix:
         seed: int,
         signature: Optional[str],
     ) -> PredicateLog:
-        """The log :meth:`log_for` would return for a fully-decided
-        trace, rebuilt from the bitsets without touching the trace or
-        the hit/evaluation counters."""
+        """The log :meth:`log_for_entry` would return for a
+        fully-decided trace, rebuilt from the bitsets without touching
+        the trace or the hit/evaluation counters."""
         col = self._column.get(fingerprint)
         if col is None:
             raise ValueError(f"trace {fingerprint!r} has no matrix column")
-        mask = 1 << col
+        return self._assemble_log(
+            suite, fingerprint, 1 << col, failed, seed, signature
+        )
+
+    def _assemble_log(
+        self,
+        suite: PredicateSuite,
+        fingerprint: str,
+        mask: int,
+        failed: bool,
+        seed: int,
+        signature: Optional[str],
+    ) -> PredicateLog:
+        """A decided column's log, observations in suite order."""
         row = self.observations.get(fingerprint, {})
-        observations = {
-            pid: _obs_from_list(row[pid])
-            for pid in suite.defs
-            if self.observed.get(pid, 0) & mask
-        }
+        observed = self.observed
         return PredicateLog(
-            observations=observations,
+            observations={
+                pid: _obs_from_list(row[pid])
+                for pid in suite.defs
+                if observed.get(pid, 0) & mask
+            },
             failed=failed,
             seed=seed,
             failure_signature=signature,
@@ -682,7 +556,6 @@ class ShardedEvalMatrix:
         traces: Sequence,
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         """Evaluate the suite over many traces, one task per shard.
 
@@ -701,14 +574,8 @@ class ShardedEvalMatrix:
         (bulky) per-trace logs stay in the worker — the matrix carries
         the same information, and :meth:`reconstruct_log` rebuilds any
         log from it for free.
-
-        ``columnar`` selects the per-shard evaluation strategy: sweep
-        the shard's columnar trace table (:meth:`EvalMatrix.
-        log_for_table`) versus the per-trace object path.  The default
-        (``None`` → :func:`columnar_enabled`) is on; both strategies
-        produce byte-identical matrices, counters, and logs.
         """
-        groups: dict[str, list] = {}
+        groups: dict[str, list[tuple]] = {}
         for trace in traces:
             fp = getattr(trace, "fingerprint", None)
             if fp is None:
@@ -716,10 +583,13 @@ class ShardedEvalMatrix:
                     "trace has no fingerprint; corpus evaluation is "
                     "memoized by content address"
                 )
-            groups.setdefault(self.store.shard_id(fp), []).append(trace)
-        return self._evaluate_groups(
-            suite, groups, engine, False, return_logs, columnar
-        )
+            signature = (
+                trace.failure.signature if trace.failure is not None else None
+            )
+            groups.setdefault(self.store.shard_id(fp), []).append(
+                (fp, trace.failed, trace.seed, signature, lambda t=trace: t)
+            )
+        return self._evaluate_groups(suite, groups, engine, return_logs)
 
     def evaluate_fingerprints(
         self,
@@ -727,79 +597,54 @@ class ShardedEvalMatrix:
         fingerprints: Sequence[str],
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
-        """Like :meth:`evaluate_shards`, but each shard task *loads its
-        own traces* from the store — so trace deserialization
-        parallelizes along with evaluation.  This is the path a
-        pre-frozen suite takes (no global discovery pass needs the
-        traces in the parent).  On the columnar path the store's shard
-        table substitutes for the loads entirely."""
-        groups: dict[str, list[str]] = {}
+        """Like :meth:`evaluate_shards`, but for stored traces named by
+        fingerprint.  The manifest supplies each trace's facts, and a
+        shard task loads a trace body only when some pair of it is
+        still undecided — so deserialization parallelizes along with
+        evaluation, and a fully-memoized (warm) analyze reads no trace
+        bodies at all.  This is the path a pre-frozen suite takes (no
+        global discovery pass needs the traces in the parent)."""
+        store = self.store
+        groups: dict[str, list[tuple]] = {}
         for fp in fingerprints:
-            groups.setdefault(self.store.shard_id(fp), []).append(fp)
-        return self._evaluate_groups(
-            suite, groups, engine, True, return_logs, columnar
-        )
+            entry = store.entries[fp]
+            groups.setdefault(store.shard_id(fp), []).append(
+                (
+                    fp,
+                    entry.failed,
+                    entry.seed,
+                    entry.signature,
+                    lambda fp=fp: store.load(fp),
+                )
+            )
+        return self._evaluate_groups(suite, groups, engine, return_logs)
 
     def _evaluate_groups(
         self,
         suite: PredicateSuite,
-        groups: dict[str, list],
+        groups: dict[str, list[tuple]],
         engine: Optional["ExecutionEngine"],
-        load: bool,
         return_logs: bool,
-        columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
+        """Run one task per shard over ``groups``: shard id -> list of
+        ``(fingerprint, failed, seed, signature, load)`` items, each fed
+        to :meth:`EvalMatrix.log_for_entry`."""
         sids = sorted(groups)
         for sid in sids:
             self.shard(sid)  # load before dispatch (workers only read files)
         shards = self._shards
-        store = self.store
-        use_columnar = columnar_enabled() if columnar is None else bool(columnar)
 
         def evaluate_shard(sid: str) -> ShardEvaluation:
             evaluation = ShardEvaluation(shard_id=sid, matrix=shards[sid])
             fingerprints: list[str] = []
-            # Columnar strategy: one whole-shard sweep per undecided
-            # pid over the shard's trace table (built lazily, keyed by
-            # shard content digest).  A shard whose payloads the format
-            # cannot represent yields no table and takes the per-trace
-            # path below — same results either way.
-            table = store.columnar_table(sid) if use_columnar else None
-            if table is not None:
-                entries: list[tuple] = []
-                for item in groups[sid]:
-                    if load:
-                        entry = store.entries[item]
-                        entries.append(
-                            (item, entry.failed, entry.seed, entry.signature)
-                        )
-                    else:
-                        entries.append(
-                            (
-                                item.fingerprint,
-                                item.failed,
-                                item.seed,
-                                item.failure.signature
-                                if item.failure is not None
-                                else None,
-                            )
-                        )
-                logs = evaluation.matrix.log_for_table(
-                    suite, table, entries, load_trace=store.load
+            for fp, failed, seed, signature, load in groups[sid]:
+                log = evaluation.matrix.log_for_entry(
+                    suite, fp, failed, seed, signature, load
                 )
-                for (fp, _, _, _), log in zip(entries, logs):
-                    fingerprints.append(fp)
-                    if return_logs:
-                        evaluation.logs.append((fp, log))
-            else:
-                for item in groups[sid]:
-                    trace = store.load(item) if load else item
-                    log = evaluation.matrix.log_for(suite, trace)
-                    fingerprints.append(trace.fingerprint)
-                    if return_logs:
-                        evaluation.logs.append((trace.fingerprint, log))
+                fingerprints.append(fp)
+                if return_logs:
+                    evaluation.logs.append((fp, log))
             # SD counters by popcount over the group's freshly-decided
             # columns — the same counting kernel every layer shares —
             # instead of a per-log observation walk.
@@ -946,10 +791,14 @@ class ShardedEvalMatrix:
         ``keep_digests`` maps each live pid to its current definition
         digest (from the frozen suite); live columns are the store's
         manifest entries.  Per-shard files are rewritten in place and
-        the index refreshed; returns byte-level before/after totals.
+        the index refreshed, and leftover per-shard side files of an
+        earlier layout are deleted
+        (:meth:`~repro.corpus.store.TraceStore.remove_leftover_files`);
+        returns byte-level before/after totals.
         """
         self.load_all()
-        rows = cols = before = after = 0
+        rows = cols = after = 0
+        before = self.store.remove_leftover_files()
         for sid in sorted(self._shards):
             matrix = self._shards[sid]
             path = self.store.shard_matrix_path(sid)

@@ -271,8 +271,9 @@ class IncrementalPipeline:
                 )
         else:
             # Pre-frozen suite: nothing global needs the trace bodies,
-            # so shard tasks load their own traces — deserialization
-            # parallelizes along with evaluation.
+            # so shard tasks load their own traces, and only those with
+            # an undecided pair — deserialization parallelizes along
+            # with evaluation, and a warm analyze reads none.
             # Same canonical order as a labeled_corpus walk: successes
             # then on-signature failures, each fingerprint-sorted.
             ordered = sorted(self.store.entries.items())

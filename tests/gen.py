@@ -1,4 +1,4 @@
-"""Seeded random-trace generator for the columnar parity harness.
+"""Seeded random-trace generator for the evaluation parity harness.
 
 Every function here is a pure function of the :class:`random.Random`
 instance passed in, so a test that seeds the generator reproduces the
@@ -6,7 +6,8 @@ same corpus on every run and on every machine.  The generator aims for
 breadth, not realism: unicode method and thread names, empty traces,
 nested/NaN return values, duplicate method keys, self-referential
 parents, and every failure shape the trace schema can express — the
-corners a columnar encoder is most likely to get wrong.
+corners trace decoding and predicate evaluation are most likely to get
+wrong (see tests/test_eval_parity.py).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def make_payload(rng: random.Random, seed: int, failed: bool) -> dict:
         method = rng.choice(METHODS)
         thread = rng.choice(THREADS)
         # Duplicate (method, thread) pairs are frequent on purpose so
-        # occurrence indexing and key-run grouping get exercised.
+        # occurrence indexing and key lookups get exercised.
         occurrence = sum(
             1
             for c in calls
@@ -125,16 +126,71 @@ def make_payload(rng: random.Random, seed: int, failed: bool) -> dict:
     }
 
 
+def make_racy_payload(rng: random.Random, seed: int, failed: bool) -> dict:
+    """A :func:`make_payload` trace plus one guaranteed lockset race.
+
+    Random accesses almost never interleave into a race window, so two
+    overlapping calls on different threads are appended: the outer one
+    touches ``obj`` twice (writing), the inner one touches it in between,
+    with no locks held.
+    """
+    payload = make_payload(rng, seed, failed)
+    calls = payload["calls"]
+    obj = rng.choice(OBJECTS)
+    outer, inner = rng.sample(THREADS, 2)
+    base = payload["end_time"] + 1
+    for thread, start, touches in (
+        (outer, base, (("W", base + 2), ("R", base + 30))),
+        (inner, base + 10, (("W", base + 15),)),
+    ):
+        method = rng.choice(METHODS)
+        calls.append(
+            {
+                "call_id": len(calls),
+                "method": method,
+                "thread": thread,
+                "occurrence": sum(
+                    1
+                    for c in calls
+                    if c["method"] == method and c["thread"] == thread
+                ),
+                "start_time": start,
+                "end_time": start + 40,
+                "start_lamport": start,
+                "end_lamport": start + 40,
+                "parent_call_id": None,
+                "return_value": rng.choice(RETURN_VALUES),
+                "exception": None,
+                "body_skipped": False,
+                "accesses": [
+                    {
+                        "obj": obj,
+                        "type": kind,
+                        "time": time,
+                        "lamport": time,
+                        "locks": [],
+                    }
+                    for kind, time in touches
+                ],
+            }
+        )
+    payload["end_time"] = base + 60
+    return payload
+
+
 def make_corpus(
     seed: int, n_pass: int = 6, n_fail: int = 6
 ) -> list[dict]:
-    """A seeded list of payloads with both labels, dedup-safe seeds."""
+    """A seeded list of payloads with both labels, dedup-safe seeds.
+
+    The last pass and the last failure carry a guaranteed race
+    (:func:`make_racy_payload`)."""
     rng = random.Random(seed)
+    racy = {n_pass - 1, n_pass + n_fail - 1}
     payloads = []
     for i in range(n_pass + n_fail):
-        payloads.append(
-            make_payload(rng, seed=seed * 1000 + i, failed=i >= n_pass)
-        )
+        make = make_racy_payload if i in racy else make_payload
+        payloads.append(make(rng, seed=seed * 1000 + i, failed=i >= n_pass))
     return payloads
 
 

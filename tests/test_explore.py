@@ -500,6 +500,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "under delay" in out
 
+    def test_explore_run_log_is_finished_with_span_and_metrics(
+        self, capsys, tmp_path
+    ):
+        from repro.cli import main
+        from repro.obs import read_run_log
+
+        log_dir = tmp_path / "logs"
+        assert (
+            main(
+                ["explore", "kafka", "--budget", "20", "--json",
+                 "--log-dir", str(log_dir)]
+            )
+            == 0
+        )
+        printed = json.loads(capsys.readouterr().out)
+        (path,) = log_dir.glob("*.jsonl")
+        replay = read_run_log(path)
+        finished = replay.events.first("run-finished")
+        assert finished is not None
+        assert finished.report == printed
+        spans = [e.name for e in replay.events.of_kind("span-closed")]
+        assert "explore" in spans
+        assert replay.metrics is not None
+
     def test_explore_rejects_bad_target(self, tmp_path):
         from repro.cli import main
 
