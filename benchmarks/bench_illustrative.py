@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from repro.core.acdag import ACDag
 from repro.core.discovery import causal_path_discovery, linear_discovery
 from repro.core.intervention import RunOutcome
+from repro.core.theory import transitive_closure
 
 F = "F"
 
@@ -47,15 +46,14 @@ class _Oracle:
 
 
 def _figure4():
-    edges = [
-        ("P1", "P2"), ("P2", "P3"),
-        ("P3", "P4"), ("P4", "P5"), ("P5", "P6"),
-        ("P3", "P7"), ("P7", "P8"), ("P8", "P11"),
-        ("P7", "P9"), ("P9", "P10"),
-        ("P11", F), ("P6", F), ("P10", F),
-    ]
-    graph = nx.transitive_closure_dag(nx.DiGraph(edges))
-    dag = ACDag(graph=graph, failure=F)
+    succ = {
+        "P1": ["P2"], "P2": ["P3"],
+        "P3": ["P4", "P7"], "P4": ["P5"], "P5": ["P6"],
+        "P7": ["P8", "P9"], "P8": ["P11"],
+        "P9": ["P10"],
+        "P11": [F], "P6": [F], "P10": [F],
+    }
+    dag = ACDag(transitive_closure(succ), failure=F)
     causal = ["P1", "P2", "P11"]
     parents = {
         "P3": "P2", "P4": "P3", "P5": "P4", "P6": "P5",

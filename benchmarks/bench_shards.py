@@ -98,8 +98,8 @@ def _time_cold_analyze(
         assert pipeline.matrix.pair_evaluations > 0, "analysis was not cold"
         state = {
             "fully_discriminative": list(pipeline.fully),
-            "dag_nodes": sorted(pipeline.dag.graph.nodes),
-            "dag_edges": sorted(pipeline.dag.graph.edges),
+            "dag_nodes": sorted(pipeline.dag.structure()[0]),
+            "dag_edges": sorted(pipeline.dag.structure()[1]),
             "pair_evaluations": pipeline.matrix.pair_evaluations,
         }
     return timings, state

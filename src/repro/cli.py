@@ -649,7 +649,7 @@ def _print_analysis_report(
         print(f"  {pid}: {report.dag.describe(pid)}")
     print(
         f"AC-DAG   : {len(report.dag)} nodes, "
-        f"{report.dag.graph.number_of_edges()} edges "
+        f"{len(report.dag.structure()[1])} edges "
         f"(over {report.dag.n_failed_logs} failed logs)"
     )
     evaluated = log.first("logs-evaluated")

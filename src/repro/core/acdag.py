@@ -3,8 +3,9 @@
 Nodes are the fully-discriminative predicates plus the failure predicate
 F; there is an edge P1 → P2 iff P1 temporally precedes P2 (per the
 active :class:`~repro.core.precedence.PrecedencePolicy`) in **every**
-failed log.  The relation is stored transitively closed — reachability
-(the paper's ``P1 ⤳ P2``) is an edge test.
+failed log.  That relation is transitive, so it is stored transitively
+closed as a successor map ``pid -> {pids it precedes}`` plus the inverse
+predecessor map: reachability (the paper's ``P1 ⤳ P2``) is a set lookup.
 
 Guarantees established at build time:
 
@@ -20,15 +21,16 @@ Guarantees established at build time:
 The class also provides the structural queries the intervention
 algorithms need: topological levels, minimal elements ("lowest
 topological level"), branch decomposition at junctions (Algorithm 2
-line 10), and destructive node removal as pruning proceeds.
+line 10), and destructive node removal as pruning proceeds.  Every
+mutation only removes nodes or edges of a closed relation (or
+intersects closed relations), so the closure is never recomputed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
-
-import networkx as nx
+import heapq
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .precedence import PrecedencePolicy, default_policy
 from .predicates import PredicateDef
@@ -61,21 +63,27 @@ class Branch:
 
 
 class ACDag:
-    """The approximate causal DAG over predicate ids."""
+    """The approximate causal DAG over predicate ids; ``succ`` maps each
+    pid to the pids it precedes and must already be transitively closed."""
 
     def __init__(
         self,
-        graph: nx.DiGraph,
+        succ: Mapping[str, Iterable[str]],
         failure: str,
         defs: Optional[dict[str, PredicateDef]] = None,
         discarded: Optional[dict[str, str]] = None,
         n_failed_logs: int = 0,
     ) -> None:
-        if failure not in graph:
+        nodes = set(succ).union(*succ.values())
+        self._succ: dict[str, set[str]] = {p: set(succ.get(p, ())) for p in nodes}
+        self._pred: dict[str, set[str]] = {p: set() for p in nodes}
+        for p, qs in self._succ.items():
+            for q in qs:
+                self._pred[q].add(p)
+        if failure not in self._succ:
             raise GraphInvariantError(f"failure predicate {failure!r} not in graph")
-        if not nx.is_directed_acyclic_graph(graph):
+        if len(self.topological_order()) < len(self._succ):
             raise GraphInvariantError("AC-DAG contains a cycle")
-        self.graph = graph
         self.failure = failure
         self.defs = defs or {}
         #: pid -> reason, for predicates dropped during construction
@@ -139,16 +147,17 @@ class ACDag:
                 f"failure predicate {failure!r} unobserved in some failed log"
             )
 
-        graph = nx.DiGraph()
-        graph.add_nodes_from(anchors)
+        # "Precedes in every failed log" is transitive, so pairwise
+        # tests alone yield the closed relation.
+        succ: dict[str, set[str]] = {pid: set() for pid in anchors}
         nodes = sorted(set(anchors) - {failure})
         for i, p1 in enumerate(nodes):
             for p2 in nodes[i + 1 :]:
                 s1, s2 = anchors[p1], anchors[p2]
                 if all(a < b for a, b in zip(s1, s2)):
-                    graph.add_edge(p1, p2)
+                    succ[p1].add(p2)
                 elif all(b < a for a, b in zip(s1, s2)):
-                    graph.add_edge(p2, p1)
+                    succ[p2].add(p1)
         # F is the terminal event of a failed execution: predicates that
         # never anchor after it precede it (ties allowed — the crash is
         # recorded at the instant its method dies).  Predicates anchored
@@ -157,24 +166,20 @@ class ACDag:
         for pid in nodes:
             series = anchors[pid]
             if all(a <= f for a, f in zip(series, f_series)):
-                graph.add_edge(pid, failure)
+                succ[pid].add(failure)
             elif all(f < a for a, f in zip(series, f_series)):
-                graph.add_edge(failure, pid)
+                succ[failure].add(pid)
 
-        # Keep only predicates that may cause F: its ancestors.
-        keep = nx.ancestors(graph, failure) | {failure}
-        for pid in list(graph.nodes):
-            if pid not in keep:
-                discarded[pid] = "no temporal path to the failure predicate"
-                graph.remove_node(pid)
-
-        return cls(
-            graph=graph,
+        dag = cls(
+            succ,
             failure=failure,
             defs=dict(defs),
             discarded=discarded,
             n_failed_logs=len(failed_logs),
         )
+        # Keep only predicates that may cause F: its ancestors.
+        dag._prune_non_ancestors()
+        return dag
 
     @classmethod
     def merge(cls, dags: Sequence["ACDag"]) -> "ACDag":
@@ -199,25 +204,18 @@ class ACDag:
             )
         if len(dags) == 1:
             return first.copy()
-        nodes = set(first.graph.nodes)
-        for other in dags[1:]:
-            nodes &= set(other.graph.nodes)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(sorted(nodes))
-        for a, b in first.graph.edges:
-            if (
-                a in nodes
-                and b in nodes
-                and all(d.graph.has_edge(a, b) for d in dags[1:])
-            ):
-                graph.add_edge(a, b)
+        nodes = set(first._succ).intersection(*(d._succ for d in dags[1:]))
+        succ = {
+            p: first._succ[p].intersection(nodes, *(d._succ[p] for d in dags[1:]))
+            for p in nodes
+        }
         discarded: dict[str, str] = {}
         for d in dags:
             discarded.update(d.discarded)
-        for pid in set(first.graph.nodes) - nodes:
+        for pid in set(first._succ) - nodes:
             discarded.setdefault(pid, "not observed in every failed log")
         merged = cls(
-            graph=graph,
+            succ,
             failure=first.failure,
             defs=dict(first.defs),
             discarded=discarded,
@@ -244,33 +242,39 @@ class ACDag:
         Drops nodes the log does not observe (their recall just fell
         below 1), drops edges whose precedence the log contradicts, and
         re-applies the ancestors-of-F filter.  Returns every pid removed.
+        A log that does not observe F is rejected before anything changes.
         """
+        if log.time_of(self.failure) is None:
+            raise GraphInvariantError(
+                f"failure predicate {self.failure!r} unobserved in "
+                "an ingested failed log (wrong failure signature?)"
+            )
         policy = policy or default_policy()
         removed: set[str] = set()
         anchors: dict[str, float] = {}
-        for pid in sorted(self.graph.nodes):
+        for pid in sorted(self._succ):
             obs = log.time_of(pid)
             if obs is None:
-                if pid == self.failure:
-                    raise GraphInvariantError(
-                        f"failure predicate {self.failure!r} unobserved in "
-                        "an ingested failed log (wrong failure signature?)"
-                    )
                 removed.add(pid)
                 self.discarded[pid] = "not observed in every failed log"
-                self.graph.remove_node(pid)
             else:
                 anchors[pid] = policy.anchor(self.defs[pid], obs)
-        for a, b in list(self.graph.edges):
+        self._drop(removed)
+        for a, bs in self._succ.items():
             # Ties with F are allowed (the crash is recorded at the
             # instant its method dies); all other precedence is strict.
-            holds = (
-                anchors[a] <= anchors[b]
-                if b == self.failure
-                else anchors[a] < anchors[b]
-            )
-            if not holds:
-                self.graph.remove_edge(a, b)
+            contradicted = {
+                b
+                for b in bs
+                if not (
+                    anchors[a] <= anchors[b]
+                    if b == self.failure
+                    else anchors[a] < anchors[b]
+                )
+            }
+            bs -= contradicted
+            for b in contradicted:
+                self._pred[b].discard(a)
         self.n_failed_logs += 1
         removed |= self._prune_non_ancestors()
         return removed
@@ -281,72 +285,83 @@ class ACDag:
         *successful* log breaks some predicates' precision.  Returns
         every pid removed."""
         keep = set(pids) | {self.failure}
-        removed = set(self.graph.nodes) - keep
+        removed = set(self._succ) - keep
         for pid in removed:
             self.discarded[pid] = "no longer fully discriminative"
-        self.graph.remove_nodes_from(removed)
+        self._drop(removed)
         return removed | self._prune_non_ancestors()
 
     def _prune_non_ancestors(self) -> set[str]:
         """Re-apply the build-time rule: only ancestors of F may stay."""
-        keep = nx.ancestors(self.graph, self.failure) | {self.failure}
-        doomed = set(self.graph.nodes) - keep
-        for pid in doomed:
+        doomed = set(self._succ) - self._pred[self.failure] - {self.failure}
+        for pid in sorted(doomed):
             self.discarded[pid] = "no temporal path to the failure predicate"
-        self.graph.remove_nodes_from(doomed)
+        self._drop(doomed)
         return doomed
+
+    def _drop(self, pids: Iterable[str]) -> None:
+        """Remove nodes and their edges; the rest stays closed."""
+        for pid in pids:
+            for q in self._succ.pop(pid):
+                self._pred[q].discard(pid)
+            for q in self._pred.pop(pid):
+                self._succ[q].discard(pid)
 
     def structure(self) -> tuple[frozenset, frozenset]:
         """(nodes, edges) — the comparable shape, for equality asserts."""
-        return frozenset(self.graph.nodes), frozenset(self.graph.edges)
+        return frozenset(self._succ), frozenset(
+            (a, b) for a, bs in self._succ.items() for b in bs
+        )
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def predicates(self) -> set[str]:
         """All candidate predicates (excluding F)."""
-        return set(self.graph.nodes) - {self.failure}
+        return set(self._succ) - {self.failure}
 
     def __len__(self) -> int:
-        return len(self.graph)
+        return len(self._succ)
 
     def __contains__(self, pid: str) -> bool:
-        return pid in self.graph
+        return pid in self._succ
 
     def reaches(self, a: str, b: str) -> bool:
         """The paper's ``a ⤳ b`` (graph is transitively closed)."""
-        if a == b:
-            return False
-        return self.graph.has_edge(a, b)
-
-    def ancestors(self, pid: str) -> set[str]:
-        return set(self.graph.predecessors(pid))
-
-    def descendants(self, pid: str) -> set[str]:
-        return set(self.graph.successors(pid))
+        return b in self._succ.get(a, ())
 
     def minimal_elements(self, among: Optional[Iterable[str]] = None) -> list[str]:
         """Nodes with no predecessor inside ``among`` ("lowest level")."""
-        pool = set(among) if among is not None else set(self.graph.nodes)
-        return sorted(
-            p for p in pool if not any(q in pool for q in self.graph.predecessors(p))
-        )
+        pool = set(among) if among is not None else set(self._succ)
+        return sorted(p for p in pool if self._pred[p].isdisjoint(pool))
 
     def topological_order(self, among: Optional[Iterable[str]] = None) -> list[str]:
         """A deterministic topological order of ``among``.
 
         Ties (incomparable nodes) break lexicographically; intervention
-        algorithms may re-break them randomly per the paper.
+        algorithms may re-break them randomly per the paper.  Pids that
+        are not nodes are ignored.  On a cyclic relation the order is
+        shorter than the pool (the constructor's cycle check).
         """
-        pool = set(among) if among is not None else set(self.graph.nodes)
-        sub = self.graph.subgraph(pool)
-        return list(nx.lexicographical_topological_sort(sub))
+        pool = set(self._succ) if among is None else set(among) & self._succ.keys()
+        indegree = {p: len(self._pred[p] & pool) for p in pool}
+        ready = [p for p, n in indegree.items() if n == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            p = heapq.heappop(ready)
+            order.append(p)
+            for q in self._succ[p] & pool:
+                indegree[q] -= 1
+                if indegree[q] == 0:
+                    heapq.heappush(ready, q)
+        return order
 
     def topological_levels(
         self, among: Optional[Iterable[str]] = None
     ) -> list[list[str]]:
         """Antichain levels: level k = minimal elements after removing <k."""
-        pool = set(among) if among is not None else set(self.graph.nodes)
+        pool = set(among) if among is not None else set(self._succ)
         levels: list[list[str]] = []
         while pool:
             level = self.minimal_elements(pool)
@@ -367,7 +382,7 @@ class ACDag:
         for head in sorted(heads):
             exclusive = {
                 q
-                for q in self.descendants(head)
+                for q in self._succ[head]
                 if q != self.failure
                 and not any(
                     self.reaches(other, q) for other in head_set - {head}
@@ -379,12 +394,11 @@ class ACDag:
     # -- mutation ------------------------------------------------------------
 
     def remove(self, pids: Iterable[str]) -> None:
-        doomed = set(pids) - {self.failure}
-        self.graph.remove_nodes_from(doomed)
+        self._drop({p for p in pids if p in self._succ} - {self.failure})
 
     def copy(self) -> "ACDag":
         return ACDag(
-            graph=self.graph.copy(),
+            self._succ,
             failure=self.failure,
             defs=dict(self.defs),
             discarded=dict(self.discarded),
@@ -393,19 +407,16 @@ class ACDag:
 
     # -- presentation --------------------------------------------------------
 
-    def transitive_reduction(self) -> nx.DiGraph:
-        """Minimal edge set implying the same reachability (for display)."""
-        return nx.transitive_reduction(self.graph)
-
     def to_dot(self) -> str:
-        """A Graphviz rendering of the transitive reduction."""
+        """A Graphviz rendering of the transitive reduction: ``a -> b``
+        is drawn iff no node lies between them."""
         lines = ["digraph acdag {", "  rankdir=TB;"]
-        reduced = self.transitive_reduction()
-        for node in sorted(reduced.nodes):
+        for node in sorted(self._succ):
             shape = "doubleoctagon" if node == self.failure else "box"
             lines.append(f'  "{node}" [shape={shape}];')
-        for a, b in sorted(reduced.edges):
-            lines.append(f'  "{a}" -> "{b}";')
+        for a, b in sorted(self.structure()[1]):
+            if self._succ[a].isdisjoint(self._pred[b]):
+                lines.append(f'  "{a}" -> "{b}";')
         lines.append("}")
         return "\n".join(lines)
 

@@ -147,7 +147,7 @@ def report_to_dict(report) -> dict:
     program = report.program.name if report.program is not None else None
     if program is None:
         program = getattr(report, "program_name", None)
-    graph = report.dag.graph
+    nodes, edges = report.dag.structure()
     payload: dict = {
         "schema": REPORT_SCHEMA_VERSION,
         # Observability metadata: run_id and metrics stay None unless a
@@ -171,10 +171,10 @@ def report_to_dict(report) -> dict:
             "fully_discriminative": list(report.fully_discriminative),
         },
         "dag": {
-            "n_nodes": graph.number_of_nodes(),
-            "n_edges": graph.number_of_edges(),
-            "nodes": sorted(graph.nodes),
-            "edges": sorted([u, v] for u, v in graph.edges),
+            "n_nodes": len(nodes),
+            "n_edges": len(edges),
+            "nodes": sorted(nodes),
+            "edges": sorted([u, v] for u, v in edges),
         },
         "discovery": None,
         "explanation": None,

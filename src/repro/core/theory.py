@@ -22,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
-
-import networkx as nx
+from typing import Hashable, Iterable, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -61,29 +59,31 @@ def symmetric_search_space(junctions: int, branches: int, chain_length: int) -> 
     return (branches * (2**chain_length - 1) + 1) ** junctions
 
 
-def count_cpd_solutions(graph: nx.DiGraph) -> int:
-    """Brute-force count of valid CPD solutions (chains incl. empty set).
+def transitive_closure(succ: Mapping[Hashable, Iterable]) -> dict[Hashable, set]:
+    """Warshall's closure of a successor map; every node becomes a key."""
+    nodes = set(succ).union(*succ.values())
+    closure = {p: set(succ.get(p, ())) for p in nodes}
+    for k in nodes:
+        for p in nodes:
+            if k in closure[p]:
+                closure[p] |= closure[k]
+    return closure
+
+
+def count_cpd_solutions(succ: Mapping[Hashable, Iterable]) -> int:
+    """Brute-force count of valid CPD solutions (chains incl. empty set)
+    of the DAG with successor map ``succ`` (closed or not).
 
     Exponential; for property-testing Lemma 1 on small DAGs only.
     """
-    if len(graph) > 20:
+    if len(set(succ).union(*succ.values())) > 20:
         raise ValueError("brute-force solution count limited to 20 nodes")
-    closure = nx.transitive_closure_dag(graph)
-    nodes = list(graph.nodes)
-    count = 1  # the empty solution
-    for size in range(1, len(nodes) + 1):
-        for subset in combinations(nodes, size):
-            if _is_chain(closure, subset):
-                count += 1
-    return count
-
-
-def _is_chain(closure: nx.DiGraph, subset: Iterable) -> bool:
-    subset = list(subset)
-    for a, b in combinations(subset, 2):
-        if not (closure.has_edge(a, b) or closure.has_edge(b, a)):
-            return False
-    return True
+    closure = transitive_closure(succ)
+    return 1 + sum(  # the empty solution, plus every non-empty chain
+        all(b in closure[a] or a in closure[b] for a, b in combinations(subset, 2))
+        for size in range(1, len(closure) + 1)
+        for subset in combinations(closure, size)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +211,26 @@ def figure6_table(
     return [cpd, gt]
 
 
-def symmetric_acdag(junctions: int, branches: int, chain_length: int) -> nx.DiGraph:
-    """Build the symmetric AC-DAG of Figure 5(c) as a concrete graph.
+def symmetric_acdag(
+    junctions: int, branches: int, chain_length: int
+) -> dict[str, list[str]]:
+    """Build the symmetric AC-DAG of Figure 5(c) as a successor map.
 
-    Nodes are strings ``"J{j}B{b}N{k}"`` plus junction connectors; the
-    graph is the *transitive reduction* (edges only between neighbours),
-    suitable for search-space brute-forcing and for feeding the
-    synthetic oracle.
+    Nodes are strings ``"J{j}B{b}N{k}"``, each a key; the map is the
+    *transitive reduction* (edges only between neighbours), suitable
+    for search-space brute-forcing and for feeding the synthetic oracle.
     """
-    graph = nx.DiGraph()
+    succ: dict[str, list[str]] = {}
     previous_sinks: list[str] = []
     for j in range(junctions):
         heads, tails = [], []
         for b in range(branches):
             chain = [f"J{j}B{b}N{k}" for k in range(chain_length)]
-            nx.add_path(graph, chain) if len(chain) > 1 else graph.add_node(chain[0])
+            for k, pid in enumerate(chain):
+                succ[pid] = chain[k + 1 : k + 2]
             heads.append(chain[0])
             tails.append(chain[-1])
         for sink in previous_sinks:
-            for head in heads:
-                graph.add_edge(sink, head)
+            succ[sink] = list(heads)
         previous_sinks = tails
-    return graph
+    return succ

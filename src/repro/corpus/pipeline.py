@@ -332,8 +332,8 @@ class IncrementalPipeline:
 
         self._emit(
             DagBuilt(
-                n_nodes=self.dag.graph.number_of_nodes(),
-                n_edges=self.dag.graph.number_of_edges(),
+                n_nodes=len(self.dag),
+                n_edges=len(self.dag.structure()[1]),
             )
         )
 

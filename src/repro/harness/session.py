@@ -297,8 +297,8 @@ class AIDSession:
                 )
             self._emit(
                 DagBuilt(
-                    n_nodes=self._dag.graph.number_of_nodes(),
-                    n_edges=self._dag.graph.number_of_edges(),
+                    n_nodes=len(self._dag),
+                    n_edges=len(self._dag.structure()[1]),
                 )
             )
         return self._dag

@@ -33,8 +33,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
-
 from ..core.acdag import ACDag
 from ..core.intervention import RunOutcome
 
@@ -197,22 +195,12 @@ def generate_app(seed: int, spec: Optional[SyntheticSpec] = None) -> SyntheticAp
     n = len(all_pids)
 
     # Transitively-closed AC-DAG: same-run order + all cross-phase pairs.
-    graph = nx.DiGraph()
-    graph.add_nodes_from(all_pids + [FAILURE_PID])
-    for phase_runs in runs:
+    succ: dict[str, set[str]] = {pid: {FAILURE_PID} for pid in all_pids}
+    for i, phase_runs in enumerate(runs):
+        later = [pid for phase in runs[i + 1 :] for run in phase for pid in run]
         for run in phase_runs:
-            for i, a in enumerate(run):
-                for b in run[i + 1 :]:
-                    graph.add_edge(a, b)
-    for i, earlier in enumerate(runs):
-        for later in runs[i + 1 :]:
-            for run_a in earlier:
-                for run_b in later:
-                    for a in run_a:
-                        for b in run_b:
-                            graph.add_edge(a, b)
-    for pid in all_pids:
-        graph.add_edge(pid, FAILURE_PID)
+            for k, a in enumerate(run):
+                succ[a].update(run[k + 1 :], later)
 
     # True causal path: a *contiguous* band of phases starting at a
     # random position.  Real causal chains are temporally local — the
@@ -265,7 +253,7 @@ def generate_app(seed: int, spec: Optional[SyntheticSpec] = None) -> SyntheticAp
                     parents[pid] = None  # root noise: always occurs
                 previous = pid
 
-    dag = ACDag(graph=graph, failure=FAILURE_PID)
+    dag = ACDag(succ, failure=FAILURE_PID)
     return SyntheticApp(
         dag=dag,
         causal_path=causal,

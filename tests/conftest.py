@@ -5,11 +5,21 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+import networkx as nx
 import pytest
 
 from repro.harness.session import AIDSession, SessionConfig
 from repro.sim import Program
 from repro.workloads.common import REGISTRY
+
+
+def acdag_digraph(dag) -> nx.DiGraph:
+    """The AC-DAG's nodes and (closed) edges as a networkx graph, for
+    checks against networkx as an independent oracle."""
+    nodes, edges = dag.structure()
+    graph = nx.DiGraph(sorted(edges))
+    graph.add_nodes_from(nodes)
+    return graph
 
 
 def wait_until(

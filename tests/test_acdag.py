@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from repro.core.predicates import (
 )
 from repro.core.statistical import PredicateLog
 from repro.sim.tracing import MethodKey
+
+from conftest import acdag_digraph
 
 F = "FAILURE[f]"
 
@@ -90,11 +94,11 @@ class TestBuild:
     def test_rejects_cyclic_graph(self):
         graph = nx.DiGraph([("A", "B"), ("B", "A"), ("A", F)])
         with pytest.raises(GraphInvariantError):
-            ACDag(graph=graph, failure=F)
+            ACDag(nx.to_dict_of_lists(graph), failure=F)
 
     def test_failure_must_be_present(self):
         with pytest.raises(GraphInvariantError):
-            ACDag(graph=nx.DiGraph([("A", "B")]), failure=F)
+            ACDag(nx.to_dict_of_lists(nx.DiGraph([("A", "B")])), failure=F)
 
 
 def _chain_dag(*chains, merge=None):
@@ -110,7 +114,7 @@ def _chain_dag(*chains, merge=None):
                 graph.add_edge(a, merge)
     if merge:
         graph.add_edge(merge, F)
-    return ACDag(graph=graph, failure=F)
+    return ACDag(nx.to_dict_of_lists(graph), failure=F)
 
 
 class TestStructure:
@@ -139,10 +143,9 @@ class TestStructure:
 
     def test_transitive_reduction_and_dot(self):
         dag = _chain_dag(["A1", "A2", "A3"])
-        reduced = dag.transitive_reduction()
-        assert reduced.has_edge("A1", "A2")
-        assert not reduced.has_edge("A1", "A3")
         dot = dag.to_dot()
+        assert '"A1" -> "A2";' in dot
+        assert '"A1" -> "A3";' not in dot
         assert "doubleoctagon" in dot and "A1" in dot
 
     def test_copy_is_independent(self):
@@ -171,7 +174,7 @@ def test_property_built_dag_is_acyclic_and_transitive(log_times):
         times = {pid: row[i] for i, pid in enumerate(pids)}
         logs.append(_log(times, f_time=100))
     dag = ACDag.build(defs, logs, F)
-    graph = dag.graph
+    graph = acdag_digraph(dag)
     assert nx.is_directed_acyclic_graph(graph)
     for a, b in graph.edges:
         for c in graph.successors(b):
@@ -179,3 +182,130 @@ def test_property_built_dag_is_acyclic_and_transitive(log_times):
                 assert graph.has_edge(a, c), "transitive closure broken"
     for node in dag.predicates:
         assert dag.reaches(node, F)
+
+
+class TestUpdateFailedLog:
+    def test_rejects_before_mutating(self):
+        """A log that does not observe F changes nothing, not even the
+        nodes that sort before F."""
+        dag = ACDag.build(_defs(["A", "B"]), [_log({"A": 1, "B": 5}, 9)], F)
+        shape = dag.structure()
+        discarded = dict(dag.discarded)
+        log = PredicateLog(
+            observations={"B": Observation(5, 5)}, failed=True, seed=1
+        )
+        with pytest.raises(GraphInvariantError, match="unobserved"):
+            dag.update_failed_log(log)
+        assert dag.structure() == shape
+        assert dag.discarded == discarded
+        assert dag.n_failed_logs == 1
+
+
+# -- parity with networkx as an oracle ---------------------------------------
+
+
+def _random_closed_dag(rng: random.Random) -> nx.DiGraph:
+    nodes = [f"P{i}" for i in range(rng.randint(1, 12))] + [F]
+    rng.shuffle(nodes)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            if rng.random() < 0.25:
+                graph.add_edge(a, b)
+    return nx.transitive_closure_dag(graph)
+
+
+def _dot_edges(dot: str) -> list[tuple[str, str]]:
+    return [
+        tuple(part.strip().strip(";").strip('"') for part in line.split("->"))
+        for line in dot.splitlines()
+        if "->" in line
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_queries_match_networkx(seed):
+    rng = random.Random(seed)
+    graph = _random_closed_dag(rng)
+    dag = ACDag(nx.to_dict_of_lists(graph), failure=F)
+    nodes = sorted(graph)
+    assert dag.topological_order() == list(nx.lexicographical_topological_sort(graph))
+    for a in nodes:
+        for b in nodes:
+            assert dag.reaches(a, b) == graph.has_edge(a, b)
+    pool = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+    sub = graph.subgraph(pool)
+    # Pids outside the DAG are ignored, as a subgraph ignores them.
+    assert dag.topological_order(pool | {"NOT-A-NODE"}) == list(
+        nx.lexicographical_topological_sort(sub)
+    )
+    generations = [sorted(g) for g in nx.topological_generations(sub)]
+    assert dag.topological_levels(pool) == generations
+    assert dag.minimal_elements(pool) == generations[0]
+    assert _dot_edges(dag.to_dot()) == sorted(nx.transitive_reduction(graph).edges)
+
+
+def _random_log(rng: random.Random, pids, seed: int) -> PredicateLog:
+    times = {pid: rng.randint(0, 12) for pid in pids if rng.random() < 0.9}
+    return _log(times, rng.randint(6, 12), seed=seed)
+
+
+def _oracle_build(logs, failure=F) -> tuple[frozenset, frozenset]:
+    """The AC-DAG rule of Section 4, computed with networkx."""
+    observed = [
+        pid
+        for pid in logs[0].observations
+        if all(log.time_of(pid) is not None for log in logs)
+    ]
+    anchors = {pid: [log.time_of(pid).start for log in logs] for pid in observed}
+    graph = nx.DiGraph()
+    graph.add_nodes_from(observed)
+    for a in observed:
+        for b in observed:
+            pairs = list(zip(anchors[a], anchors[b]))
+            if b == failure != a:  # ties with F still precede it
+                holds = all(x <= y for x, y in pairs)
+            else:
+                holds = a != b and all(x < y for x, y in pairs)
+            if holds:
+                graph.add_edge(a, b)
+    keep = nx.ancestors(graph, failure) | {failure}
+    return frozenset(keep), frozenset(graph.subgraph(keep).edges)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_build_matches_networkx_oracle(seed):
+    rng = random.Random(seed)
+    pids = [f"P{i}" for i in range(rng.randint(1, 8))]
+    logs = [_random_log(rng, pids, seed=i) for i in range(rng.randint(1, 4))]
+    dag = ACDag.build(_defs(pids), logs, F)
+    assert dag.structure() == _oracle_build(logs)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_maintenance_matches_rebuild(seed):
+    """Any interleaving of update_failed_log / restrict_to / remove
+    equals one build over the same log history and candidate set."""
+    rng = random.Random(seed)
+    pids = [f"P{i}" for i in range(rng.randint(1, 8))]
+    defs = _defs(pids)
+    history = [_random_log(rng, pids, seed=0)]
+    dag = ACDag.build(defs, history, F)
+    allowed = set(pids)
+    for step in range(rng.randint(1, 8)):
+        op = rng.choice(["update", "update", "restrict", "remove"])
+        if op == "update":
+            history.append(_random_log(rng, pids, seed=step + 1))
+            dag.update_failed_log(history[-1])
+        elif op == "restrict":
+            keep = {pid for pid in pids if rng.random() < 0.8}
+            allowed &= keep
+            dag.restrict_to(keep)
+        else:
+            gone = set(rng.sample(pids, rng.randint(0, min(2, len(pids)))))
+            allowed -= gone
+            dag.remove(gone)
+    rebuilt = ACDag.build(defs, history, F, candidate_pids=allowed)
+    assert dag.structure() == rebuilt.structure()
+    assert dag.n_failed_logs == rebuilt.n_failed_logs == len(history)

@@ -303,13 +303,13 @@ class TestIncrementalACDag:
     def test_update_only_removes(self):
         logs = [self._log({"A": 1, "B": 2, "C": 3, "F": 4})] * 2
         dag = self._build(logs)
-        before_edges = set(dag.graph.edges)
+        before_edges = set(dag.structure()[1])
         # B now lands after C: the B->C edge must die, nothing may appear.
         new = self._log({"A": 1, "B": 5, "C": 3, "F": 6})
         removed = dag.update_failed_log(new)
         assert removed == set()
-        assert set(dag.graph.edges) < before_edges
-        assert (self._pid("B"), self._pid("C")) not in dag.graph.edges
+        assert set(dag.structure()[1]) < before_edges
+        assert (self._pid("B"), self._pid("C")) not in dag.structure()[1]
         rebuilt = self._build(logs + [new])
         assert dag.structure() == rebuilt.structure()
 
@@ -332,10 +332,10 @@ class TestIncrementalACDag:
         logs = [self._log({"A": 1, "B": 2, "C": 3, "F": 4})] * 3
         dag = self._build(logs)
         assert dag.n_failed_logs == 3
-        edges = set(dag.graph.edges)
+        edges = set(dag.structure()[1])
         dag.update_failed_log(self._log({"A": 1, "B": 2, "C": 3, "F": 4}))
         assert dag.n_failed_logs == 4
-        assert set(dag.graph.edges) == edges
+        assert set(dag.structure()[1]) == edges
 
     def test_missing_failure_predicate_raises(self):
         logs = [self._log({"A": 1, "F": 2})]
@@ -350,7 +350,7 @@ class TestIncrementalACDag:
         dag = self._build(logs)
         removed = dag.restrict_to({self._pid("A"), self._pid("C")})
         assert self._pid("B") in removed
-        assert set(dag.graph.nodes) == {self._pid("A"), self._pid("C"), self.F}
+        assert set(dag.structure()[0]) == {self._pid("A"), self._pid("C"), self.F}
         rebuilt = ACDag.build(
             defs=self._defs(),
             failed_logs=logs,

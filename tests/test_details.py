@@ -84,7 +84,7 @@ class TestProbeAllFirst:
 class TestBranchDecompositionDetails:
     def _dag(self, edges, failure="F"):
         graph = nx.transitive_closure_dag(nx.DiGraph(edges))
-        return ACDag(graph=graph, failure=failure)
+        return ACDag(nx.to_dict_of_lists(graph), failure=failure)
 
     def test_all_singleton_junction_walked_past(self):
         # Junction {A, B} where both are leaves feeding F directly:

@@ -70,7 +70,7 @@ def _figure4_like() -> tuple[ACDag, PathOracle]:
         ("P10", FAILURE_PID),
     ]
     graph = nx.transitive_closure_dag(nx.DiGraph(edges))
-    dag = ACDag(graph=graph, failure=FAILURE_PID)
+    dag = ACDag(nx.to_dict_of_lists(graph), failure=FAILURE_PID)
     causal = ["P1", "P2", "P11"]
     parents = {
         "P3": "P2",
@@ -101,7 +101,7 @@ class TestBranchPrune:
         graph = nx.transitive_closure_dag(
             nx.DiGraph([("A", "B"), ("B", "C"), ("C", FAILURE_PID)])
         )
-        dag = ACDag(graph=graph, failure=FAILURE_PID)
+        dag = ACDag(nx.to_dict_of_lists(graph), failure=FAILURE_PID)
         oracle = PathOracle(dag, ["A", "B", "C"], {})
         runner = CountingRunner(oracle)
         result = branch_prune(dag, runner, rng=random.Random(0))

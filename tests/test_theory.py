@@ -36,25 +36,25 @@ class TestSearchSpaces:
         graph = nx.DiGraph()
         nx.add_path(graph, ["A1", "B1", "C1"])
         nx.add_path(graph, ["A2", "B2", "C2"])
-        assert count_cpd_solutions(graph) == 15
+        assert count_cpd_solutions(nx.to_dict_of_lists(graph)) == 15
 
     def test_chain_equals_gt(self):
         for n in range(1, 6):
             graph = nx.path_graph(n, create_using=nx.DiGraph)
-            assert count_cpd_solutions(graph) == chain_search_space(n)
+            assert count_cpd_solutions(nx.to_dict_of_lists(graph)) == chain_search_space(n)
             assert chain_search_space(n) == gt_search_space(n)
 
     def test_lemma1_horizontal(self):
         # Two parallel 2-chains: 1 + (4-1) + (4-1) = 7.
         assert horizontal_expansion(4, 4) == 7
         graph = nx.DiGraph([("a1", "a2"), ("b1", "b2")])
-        assert count_cpd_solutions(graph) == 7
+        assert count_cpd_solutions(nx.to_dict_of_lists(graph)) == 7
 
     def test_lemma1_vertical(self):
         # Two sequential 2-chains joined: a 4-chain, 2^4.
         assert vertical_expansion(4, 4) == 16
         graph = nx.path_graph(4, create_using=nx.DiGraph)
-        assert count_cpd_solutions(graph) == 16
+        assert count_cpd_solutions(nx.to_dict_of_lists(graph)) == 16
 
     def test_symmetric_closed_form_vs_brute_force(self):
         for j, b, n in [(1, 2, 2), (2, 2, 2), (1, 3, 2), (2, 3, 1), (3, 2, 1)]:
@@ -65,7 +65,9 @@ class TestSearchSpaces:
 
     def test_brute_force_size_guard(self):
         with pytest.raises(ValueError):
-            count_cpd_solutions(nx.path_graph(25, create_using=nx.DiGraph))
+            count_cpd_solutions(
+                nx.to_dict_of_lists(nx.path_graph(25, create_using=nx.DiGraph))
+            )
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,12 +144,13 @@ class TestBounds:
 
 class TestSymmetricDag:
     def test_structure(self):
-        graph = symmetric_acdag(2, 3, 4)
-        assert len(graph) == 2 * 3 * 4
+        succ = symmetric_acdag(2, 3, 4)
+        graph = nx.DiGraph(succ)
+        assert len(succ) == len(graph) == 2 * 3 * 4
         assert nx.is_directed_acyclic_graph(graph)
         heads = [n for n in graph if graph.in_degree(n) == 0]
         assert len(heads) == 3  # first junction's branch heads
 
     def test_single_chain_degenerate(self):
-        graph = symmetric_acdag(1, 1, 5)
+        graph = nx.DiGraph(symmetric_acdag(1, 1, 5))
         assert nx.is_path(graph, list(nx.topological_sort(graph)))
