@@ -147,11 +147,6 @@ def _run_incremental(spec: RunSpec, engine, bus: EventBus) -> "SessionReport":
     )
     pipeline.bootstrap(engine=engine)
     pipeline.save()
-    n_fail = sum(
-        1
-        for entry in store.entries.values()
-        if entry.failed and entry.signature == pipeline.signature
-    )
     return SessionReport(
         program=program,
         corpus=None,
@@ -163,8 +158,8 @@ def _run_incremental(spec: RunSpec, engine, bus: EventBus) -> "SessionReport":
         explanation=None,
         approach=None,
         signature=pipeline.signature,
-        n_success=store.n_pass,
-        n_fail=n_fail,
+        n_success=pipeline.debugger.n_success,
+        n_fail=pipeline.debugger.n_failed,
         program_name=store.program,
     )
 

@@ -19,7 +19,8 @@ into a durable service:
   :meth:`~IncrementalPipeline.rebuild` fallback the maintained state is
   asserted equal to);
 * :mod:`~repro.corpus.session` — :class:`CorpusSession`, an AID session
-  that debugs from stored logs instead of re-running the workload.
+  that learns through the pipeline's ``bootstrap`` instead of
+  re-running the workload, then intervenes live.
 
 CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact|reshard`` and
 ``repro debug <workload> --corpus DIR``; ``analyze --jobs N`` runs one

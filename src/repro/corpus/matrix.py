@@ -41,13 +41,16 @@ definition digests, and observation windows.  A v2 corpus keeps **one
 such file per shard** (``shards/<sid>/evalmatrix.json``) behind a
 :class:`ShardedEvalMatrix`, with a top-level index
 (``DIR/evalmatrix.json``, format version 2) listing the shards that
-hold bitset files.  :func:`migrate_matrix_v1` splits a v1 single-file
-matrix into per-shard files preserving every memoized pair.
+hold bitset files.  :meth:`ShardedEvalMatrix.save` writes only the
+shards changed since they were loaded (and the index only when its
+shard set changes), so a warm analyze writes nothing.  A truncated or
+malformed file is a :class:`~repro.corpus.store.CorpusError` naming it.
+:func:`migrate_matrix_v1` splits a v1 single-file matrix into per-shard
+files preserving every memoized pair.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +59,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequenc
 from ..core.extraction import PredicateSuite
 from ..core.predicates import Observation
 from ..core.statistical import IncrementalDebugger, PredicateLog
+from .store import CorpusError, _read_json, _write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.engine import ExecutionEngine
@@ -105,6 +109,10 @@ class EvalMatrix:
         self._digest_cache: Optional[tuple] = None
         #: cached failed-column mask, invalidated on column allocation
         self._failed_mask: Optional[int] = None
+        #: changed since load (or the last save): a column was
+        #: allocated, a pair decided, or a row or column dropped —
+        #: :meth:`ShardedEvalMatrix.save` writes only dirty shards
+        self.dirty = False
         if self.path is not None and self.path.exists():
             self.load(self.path)
 
@@ -141,6 +149,7 @@ class EvalMatrix:
             self.labels.append(bool(failed))
             self._column[fingerprint] = idx
             self._failed_mask = None
+            self.dirty = True
         return idx
 
     @property
@@ -222,6 +231,7 @@ class EvalMatrix:
             )
             self.pair_evaluations += len(undecided)
             self.kernel_calls += 1
+            self.dirty = True
             row_obs = self.observations.get(fingerprint)
             for pid in undecided:
                 self.evaluated[pid] = self.evaluated.get(pid, 0) | mask
@@ -306,6 +316,7 @@ class EvalMatrix:
             self._drop_row(pid)
         # Digest entries without a surviving row are dead weight too
         # (split_matrix copies the full digest table to every shard).
+        n_digests = len(self.digests)
         self.digests = {
             pid: digest
             for pid, digest in self.digests.items()
@@ -339,6 +350,8 @@ class EvalMatrix:
         self.observations = {
             fp: row for fp, row in self.observations.items() if row
         }
+        if dead_rows or dead_cols or len(self.digests) != n_digests:
+            self.dirty = True
         return len(dead_rows), len(dead_cols)
 
     # -- bitset analytics ------------------------------------------------
@@ -397,8 +410,6 @@ class EvalMatrix:
         path = Path(path) if path is not None else self.path
         if path is None:
             raise ValueError("EvalMatrix has no path to save to")
-        from .store import _write_json
-
         payload = {
             "version": MATRIX_VERSION,
             "traces": self.traces,
@@ -419,13 +430,14 @@ class EvalMatrix:
             },
         }
         _write_json(path, payload, indent=None)
+        self.dirty = False
         return path
 
     def load(self, path: str | os.PathLike) -> None:
-        payload = json.loads(Path(path).read_text())
+        payload = _read_json(Path(path))
         version = payload.get("version")
         if version != MATRIX_VERSION:
-            raise ValueError(
+            raise CorpusError(
                 f"unsupported eval-matrix version {version!r} in {path}"
             )
         self.traces = list(payload["traces"])
@@ -442,6 +454,7 @@ class EvalMatrix:
         self.observations = {
             fp: dict(row) for fp, row in payload["observations"].items()
         }
+        self.dirty = False
 
 
 @dataclass
@@ -450,19 +463,16 @@ class ShardEvaluation:
 
     Produced by :meth:`ShardedEvalMatrix.evaluate_shards` — possibly in
     a worker process, in which case the ``matrix`` carries the shard's
-    post-evaluation memo state back to the parent.  ``logs`` are only
-    populated on request (the matrix already holds everything a log
-    contains, so shipping them across a process boundary would double
-    the payload).  A shard contributes evaluations and SD counters
-    only: the AC-DAG is one relation over all failed logs, built once
-    by the pipeline after the counters merge.
+    post-evaluation memo state back to the parent.  No logs travel
+    back: the matrix already holds everything a log contains, and
+    :meth:`ShardedEvalMatrix.reconstruct_log` rebuilds any of them.  A
+    shard contributes evaluations and SD counters only: the AC-DAG is
+    one relation over all failed logs, built once by the pipeline after
+    the counters merge.
     """
 
     shard_id: str
     matrix: EvalMatrix
-    #: (fingerprint, log) pairs, in the order the traces were given
-    #: (empty unless ``return_logs`` was set)
-    logs: list[tuple[str, PredicateLog]] = field(default_factory=list)
     #: per-shard SD counters, merged deterministically by the pipeline
     counters: IncrementalDebugger = field(default_factory=IncrementalDebugger)
 
@@ -515,28 +525,33 @@ class ShardedEvalMatrix:
         for sid in self.persisted_shard_ids():
             self.shard(sid)
 
-    def persisted_shard_ids(self) -> list[str]:
+    def persisted_shard_ids(self, index: Optional[dict] = None) -> list[str]:
         """Shards with a bitset file on disk, per the top-level index
         (falling back to probing the store's populated shards).
 
         Index entries whose shard id does not fit the store's current
         width are skipped: they are leftovers of an interrupted
         ``reshard`` (the other layout's ids), and counting both layouts
-        would double every memoized pair."""
-        index_path = self.store.matrix_index_path
+        would double every memoized pair.  ``index`` is the top-level
+        index payload when the caller has already read it."""
+        if index is None:
+            index = self._read_index()
         sids: set[str] = set()
-        if index_path.exists():
-            payload = json.loads(index_path.read_text())
-            if payload.get("version") == MATRIX_INDEX_VERSION:
-                sids.update(
-                    sid
-                    for sid in payload.get("shards", [])
-                    if self.store.is_valid_shard_id(sid)
-                )
+        if index.get("version") == MATRIX_INDEX_VERSION:
+            sids.update(
+                sid
+                for sid in index.get("shards", [])
+                if self.store.is_valid_shard_id(sid)
+            )
         for sid in self.store.shard_ids:
             if self.store.shard_matrix_path(sid).exists():
                 sids.add(sid)
         return sorted(sids)
+
+    def _read_index(self) -> dict:
+        """The top-level index as stored (``{}`` when absent)."""
+        path = self.store.matrix_index_path
+        return _read_json(path) if path.exists() else {}
 
     # -- the memoized evaluation loop ------------------------------------
 
@@ -555,7 +570,6 @@ class ShardedEvalMatrix:
         suite: PredicateSuite,
         traces: Sequence,
         engine: Optional["ExecutionEngine"] = None,
-        return_logs: bool = True,
     ) -> list[ShardEvaluation]:
         """Evaluate the suite over many traces, one task per shard.
 
@@ -570,10 +584,9 @@ class ShardedEvalMatrix:
 
         Each task evaluates and counts; it builds no AC-DAG (that is one
         global build after the counters merge, see
-        :mod:`repro.corpus.pipeline`).  With ``return_logs=False`` the
-        (bulky) per-trace logs stay in the worker — the matrix carries
-        the same information, and :meth:`reconstruct_log` rebuilds any
-        log from it for free.
+        :mod:`repro.corpus.pipeline`).  Per-trace logs stay in the
+        worker — the matrix carries the same information, and
+        :meth:`reconstruct_log` rebuilds any log from it for free.
         """
         groups: dict[str, list[tuple]] = {}
         for trace in traces:
@@ -589,14 +602,13 @@ class ShardedEvalMatrix:
             groups.setdefault(self.store.shard_id(fp), []).append(
                 (fp, trace.failed, trace.seed, signature, lambda t=trace: t)
             )
-        return self._evaluate_groups(suite, groups, engine, return_logs)
+        return self._evaluate_groups(suite, groups, engine)
 
     def evaluate_fingerprints(
         self,
         suite: PredicateSuite,
         fingerprints: Sequence[str],
         engine: Optional["ExecutionEngine"] = None,
-        return_logs: bool = True,
     ) -> list[ShardEvaluation]:
         """Like :meth:`evaluate_shards`, but for stored traces named by
         fingerprint.  The manifest supplies each trace's facts, and a
@@ -618,14 +630,13 @@ class ShardedEvalMatrix:
                     lambda fp=fp: store.load(fp),
                 )
             )
-        return self._evaluate_groups(suite, groups, engine, return_logs)
+        return self._evaluate_groups(suite, groups, engine)
 
     def _evaluate_groups(
         self,
         suite: PredicateSuite,
         groups: dict[str, list[tuple]],
         engine: Optional["ExecutionEngine"],
-        return_logs: bool,
     ) -> list[ShardEvaluation]:
         """Run one task per shard over ``groups``: shard id -> list of
         ``(fingerprint, failed, seed, signature, load)`` items, each fed
@@ -639,12 +650,10 @@ class ShardedEvalMatrix:
             evaluation = ShardEvaluation(shard_id=sid, matrix=shards[sid])
             fingerprints: list[str] = []
             for fp, failed, seed, signature, load in groups[sid]:
-                log = evaluation.matrix.log_for_entry(
+                evaluation.matrix.log_for_entry(
                     suite, fp, failed, seed, signature, load
                 )
                 fingerprints.append(fp)
-                if return_logs:
-                    evaluation.logs.append((fp, log))
             # SD counters by popcount over the group's freshly-decided
             # columns — the same counting kernel every layer shares —
             # instead of a per-log observation walk.
@@ -682,33 +691,6 @@ class ShardedEvalMatrix:
         return self.shard_for(fingerprint).reconstruct_log(
             suite, fingerprint, failed, seed, signature
         )
-
-    def logs_for(
-        self,
-        suite: PredicateSuite,
-        traces: Sequence,
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> list[PredicateLog]:
-        """Like :meth:`evaluate_shards` but flattened back to the input
-        trace order — the drop-in replacement for serial evaluation.
-
-        Logs are rebuilt from the bitsets rather than shipped back from
-        the workers (the matrix already crosses the process boundary;
-        the logs would double the payload)."""
-        traces = list(traces)
-        self.evaluate_shards(suite, traces, engine=engine, return_logs=False)
-        return [
-            self.reconstruct_log(
-                suite,
-                t.fingerprint,
-                failed=t.failed,
-                seed=t.seed,
-                signature=(
-                    t.failure.signature if t.failure is not None else None
-                ),
-            )
-            for t in traces
-        ]
 
     # -- aggregate analytics ---------------------------------------------
 
@@ -763,25 +745,24 @@ class ShardedEvalMatrix:
     # -- persistence -----------------------------------------------------
 
     def save(self) -> None:
-        """Write every loaded, non-empty shard matrix plus the top-level
-        index (the union of previously-indexed and just-saved shards).
-        A loaded shard whose every column was reclaimed loses its file
-        and its index entry — evicted traces must not resurrect."""
-        from .store import _write_json
-
-        saved = set(self.persisted_shard_ids())
+        """Write every loaded shard matrix that changed since it was
+        loaded, plus the top-level index (the union of previously-indexed
+        and loaded shards) when that set changed.  A loaded shard whose
+        every column was reclaimed loses its file and its index entry —
+        evicted traces must not resurrect."""
+        stored = self._read_index()
+        saved = set(self.persisted_shard_ids(stored))
         for sid, matrix in sorted(self._shards.items()):
             if matrix.traces:
-                matrix.save()
+                if matrix.dirty:
+                    matrix.save()
                 saved.add(sid)
             else:
                 self.store.shard_matrix_path(sid).unlink(missing_ok=True)
                 saved.discard(sid)
-        _write_json(
-            self.store.matrix_index_path,
-            {"version": MATRIX_INDEX_VERSION, "shards": sorted(saved)},
-            indent=None,
-        )
+        index = {"version": MATRIX_INDEX_VERSION, "shards": sorted(saved)}
+        if stored != index:
+            _write_json(self.store.matrix_index_path, index, indent=None)
 
     # -- compaction ------------------------------------------------------
 
@@ -882,11 +863,8 @@ def migrate_matrix_v1(
     """Split a v1 single-file matrix into per-shard files plus the v2
     index at ``path``.  Skips silently if ``path`` already holds a v2
     index (a resumed migration)."""
-    payload = json.loads(path.read_text())
-    if payload.get("version") == MATRIX_INDEX_VERSION:
+    if _read_json(path).get("version") == MATRIX_INDEX_VERSION:
         return
-    from .store import _write_json
-
     matrix = EvalMatrix()
     matrix.load(path)
     shards = split_matrix(matrix, shard_id)

@@ -11,9 +11,15 @@ Lifecycle::
 
     pipeline = IncrementalPipeline(store, program=workload.program)
     pipeline.bootstrap(engine=...)  # freeze suite; evaluate shard-parallel
-    pipeline.ingest(new_trace)      # store + patch counts, FD set, AC-DAG
+    pipeline.ingest_batch(traces)   # store + patch counts, FD set, AC-DAG
+    pipeline.ingest(new_trace)      # the same, as a one-trace batch
     pipeline.rebuild()              # the from-scratch fallback (tests assert
                                     # it equals the patched state)
+
+``bootstrap`` is the only code that learns from stored traces: ``repro
+corpus analyze`` runs it alone, and
+:class:`~repro.corpus.session.CorpusSession` (``repro debug --corpus``)
+runs it before its live interventions.
 
 Shard-parallel analyze
 ----------------------
@@ -52,9 +58,12 @@ Invariants
   patching sound.  Re-discovering predicates over a grown corpus is a
   new bootstrap.
 
-Persistence: ``save`` writes the store manifests and the per-shard
-matrix files (plus its index); nothing else is persisted — the DAG and
-counters rebuild from the matrix for free on the next bootstrap.
+Persistence: a bootstrap that discovers the suite with the default
+extractors persists it (``suite.json``, keyed by corpus content);
+``save`` writes the store manifests and the per-shard matrix files that
+changed (plus the index when its shard set changed).  Nothing else is
+persisted — the DAG and counters rebuild from the matrix for free on
+the next bootstrap.
 """
 
 from __future__ import annotations
@@ -102,8 +111,9 @@ class BatchIngestResult:
     ingestion (each trace sees the views exactly as it found them);
     a batch defers the fully-set diff and the final DAG restriction to
     the end, so cross-trace casualties surface only in the aggregate
-    ``removed_pids`` here.  The *final* maintained state is identical
-    either way (asserted in tests).
+    ``removed_pids`` here (a one-trace batch attributes them all to its
+    trace).  The *final* maintained state is identical either way
+    (asserted in tests).
     """
 
     results: list[IngestResult]
@@ -202,7 +212,12 @@ class IncrementalPipeline:
         deterministically (identical state for any job count).  The
         AC-DAG is then built once, over every on-signature failed log.
         """
-        from ..api.events import CorpusLoaded, LogsEvaluated, SuiteFrozen
+        from ..api.events import (
+            CollectionFinished,
+            CorpusLoaded,
+            LogsEvaluated,
+            SuiteFrozen,
+        )
 
         if not any(e.failed for e in self.store.entries.values()):
             raise CorpusError("corpus has no failed traces to analyze")
@@ -216,6 +231,24 @@ class IncrementalPipeline:
             )
         )
         self.signature = self.store.dominant_failure_signature()
+        # The canonical analysis order, from the manifest alone:
+        # successes then on-signature failures, each fingerprint-sorted
+        # (what a labeled_corpus walk yields).
+        ordered = sorted(self.store.entries.items())
+        successes = [fp for fp, e in ordered if not e.failed]
+        failures = [
+            fp
+            for fp, e in ordered
+            if e.failed and e.signature == self.signature
+        ]
+        fingerprints = successes + failures
+        self._emit(
+            CollectionFinished(
+                n_success=len(successes),
+                n_fail=len(failures),
+                signature=self.signature,
+            )
+        )
         self.suite = self._injected_suite
         suite_source = "injected" if self.suite is not None else "discovered"
         if self.suite is None and self.extractors is None:
@@ -229,6 +262,7 @@ class IncrementalPipeline:
             if persisted is not None:
                 self.suite = persisted
                 suite_source = "persisted"
+        corpus = None
         if self.suite is None:
             # Discovery calibration is global by construction (duration
             # envelopes and order baselines span the whole corpus), so
@@ -256,43 +290,25 @@ class IncrementalPipeline:
                     signature=self.signature,
                     program=self.program.name if self.program else None,
                 )
-            fingerprints = [
-                t.fingerprint for t in corpus.successes + corpus.failures
-            ]
-            self._emit(
-                SuiteFrozen(n_predicates=len(self.suite), source=suite_source)
-            )
-            with self._span("evaluate"):
+        self._emit(
+            SuiteFrozen(n_predicates=len(self.suite), source=suite_source)
+        )
+        with self._span("evaluate"):
+            if corpus is not None:
+                # Discovery already loaded every body: evaluate those.
                 evaluations = self.matrix.evaluate_shards(
                     self.suite,
                     corpus.successes + corpus.failures,
                     engine=engine,
-                    return_logs=False,
                 )
-        else:
-            # Pre-frozen suite: nothing global needs the trace bodies,
-            # so shard tasks load their own traces, and only those with
-            # an undecided pair — deserialization parallelizes along
-            # with evaluation, and a warm analyze reads none.
-            # Same canonical order as a labeled_corpus walk: successes
-            # then on-signature failures, each fingerprint-sorted.
-            ordered = sorted(self.store.entries.items())
-            fingerprints = [
-                fp for fp, e in ordered if not e.failed
-            ] + [
-                fp
-                for fp, e in ordered
-                if e.failed and e.signature == self.signature
-            ]
-            self._emit(
-                SuiteFrozen(n_predicates=len(self.suite), source=suite_source)
-            )
-            with self._span("evaluate"):
+            else:
+                # Pre-frozen suite: nothing global needs the trace
+                # bodies, so shard tasks load their own traces, and only
+                # those with an undecided pair — deserialization
+                # parallelizes along with evaluation, and a warm analyze
+                # reads none.
                 evaluations = self.matrix.evaluate_fingerprints(
-                    self.suite,
-                    fingerprints,
-                    engine=engine,
-                    return_logs=False,
+                    self.suite, fingerprints, engine=engine
                 )
         # Logs stay in the workers; the canonical-order list (successes
         # then failures, fingerprint-sorted — independent of how shards
@@ -350,7 +366,9 @@ class IncrementalPipeline:
     def ingest(
         self, trace, schedule_signature: Optional[str] = None
     ) -> IngestResult:
-        """Store one new trace and patch every maintained view.
+        """Store one new trace and patch every maintained view — a
+        one-trace :meth:`ingest_batch` whose result carries the batch's
+        ``removed_pids``.
 
         Duplicates (same content fingerprint) change nothing.  Failed
         traces with a different failure signature are stored but excluded
@@ -360,60 +378,7 @@ class IncrementalPipeline:
         stamps interleaving provenance into the manifest row (see
         :meth:`~repro.corpus.store.TraceStore.ingest`).
         """
-        if not self.bootstrapped:
-            raise CorpusError("bootstrap() the pipeline before ingesting")
-        with self._span("ingest"):
-            return self._ingest(trace, schedule_signature)
-
-    def _ingest(
-        self, trace, schedule_signature: Optional[str] = None
-    ) -> IngestResult:
-        fp, added = self.store.ingest(
-            trace, schedule_signature=schedule_signature
-        )
-        failed = trace.failed
-        if not added:
-            return IngestResult(fingerprint=fp, added=False, failed=failed)
-        signature = (
-            trace.failure.signature if trace.failure is not None else None
-        )
-        if failed and signature != self.signature:
-            return IngestResult(
-                fingerprint=fp, added=True, failed=True, skipped=True
-            )
-        if getattr(trace, "fingerprint", None) is None:
-            # live ExecutionTrace: attach the content address the matrix
-            # memoizes under (identical to the store's by construction)
-            trace = self.store.load(fp)
-        log = self.matrix.log_for(self.suite, trace)
-        self.logs.append(log)
-        self.debugger.add(log)
-        new_fully = self._derive_fully()
-        removed = set(self.fully) - set(new_fully)
-        self.fully = new_fully
-        if failed:
-            # Recall casualties are exactly the pids the new log does not
-            # observe; update_failed_log drops them along with the edges
-            # the log contradicts.
-            removed |= self.dag.update_failed_log(log, policy=self.policy)
-        elif removed:
-            # A success can only break precision; edges are untouched.
-            removed |= self.dag.restrict_to(
-                set(new_fully) | {self.failure_pid}
-            )
-        result = IngestResult(
-            fingerprint=fp,
-            added=True,
-            failed=failed,
-            removed_pids=frozenset(removed),
-        )
-        if self.bus is not None:
-            from ..api.events import DagPatched
-
-            self._emit(
-                DagPatched(fingerprint=fp, removed_pids=result.removed_pids)
-            )
-        return result
+        return self.ingest_batch([trace], [schedule_signature]).results[0]
 
     # -- batched ingestion -----------------------------------------------
 
@@ -425,9 +390,10 @@ class IncrementalPipeline:
     ) -> BatchIngestResult:
         """Ingest one wave of traces with a single view update.
 
-        Every trace is stored (and deduplicated / signature-filtered)
-        exactly as :meth:`ingest` would, but the maintained views are
-        patched once for the whole batch: all logs join the SD counters
+        Every trace is stored, deduplicated by content fingerprint, and
+        dropped from the views if it is a failure with another
+        signature.  The maintained views are then patched once for the
+        whole batch: all logs join the SD counters
         first, the fully-discriminative set is re-derived once, each
         failed log patches the AC-DAG in submission order, and one final
         restriction drops whatever left the FD set.  With ``save=True``
@@ -512,6 +478,9 @@ class IncrementalPipeline:
                 removed |= dropped
         # ...and one restriction to the batch-final FD set.
         removed |= self.dag.restrict_to(set(new_fully) | {self.failure_pid})
+        if len(analyzable) == 1:
+            # A lone trace owns every casualty of its batch.
+            per_slot[analyzable[0][0]] = frozenset(removed)
         for slot, fp, trace, failed in analyzable:
             results[slot] = IngestResult(
                 fingerprint=fp,

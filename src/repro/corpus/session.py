@@ -4,37 +4,43 @@ Role
 ----
 :class:`CorpusSession` is an :class:`~repro.harness.session.AIDSession`
 whose learning phase reads from a :class:`~repro.corpus.store.TraceStore`
-instead of re-running the workload: stored traces stand in for the
-collection sweep, and predicate evaluation routes through the persistent
-:class:`~repro.corpus.matrix.ShardedEvalMatrix`.  The intervention phase
-is unchanged — interventions are re-executions and need the live
-program.
+instead of re-running the workload.  That phase is one
+:meth:`IncrementalPipeline.bootstrap
+<repro.corpus.pipeline.IncrementalPipeline.bootstrap>` — the same code
+``repro corpus analyze`` runs — which hands the session its suite, SD
+counters, fully-discriminative set, failure predicate, signature and
+AC-DAG.  The intervention phase is unchanged — interventions are
+re-executions and need the live program.
 
 Invariants
 ----------
 * a warm corpus re-evaluates **zero** already-seen (predicate, trace)
-  pairs — every decided pair is answered from the per-shard bitsets;
+  pairs, reuses the persisted predicate suite, and reads no trace
+  bodies: failing seeds and log counts come from the manifest;
 * when the session's :class:`~repro.harness.session.SessionConfig`
   carries an execution engine with more than one job, evaluation fans
   out one task per corpus shard across that engine's backend, with
   results identical to the serial walk (see
-  :meth:`ShardedEvalMatrix.evaluate_shards`);
+  :meth:`ShardedEvalMatrix.evaluate_shards
+  <repro.corpus.matrix.ShardedEvalMatrix.evaluate_shards>`);
 * intervention outcomes are memoized under a corpus-content key, so two
   sessions over the same stored traces share outcomes no matter how
   the corpus was assembled.
 
 Persistence: ``save`` writes the store manifests and the per-shard
-matrix files (plus the top-level matrix index).
+matrix files that changed (plus the top-level matrix index); the
+bootstrap itself persists a freshly discovered suite.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..core.statistical import PredicateLog
+from ..core.statistical import IncrementalDebugger
 from ..harness.session import AIDSession, SessionConfig
 from ..sim.program import Program
 from .matrix import ShardedEvalMatrix
+from .pipeline import IncrementalPipeline
 from .store import CorpusError, TraceStore
 
 
@@ -55,53 +61,42 @@ class CorpusSession(AIDSession):
             )
         super().__init__(program, config=config)
         self.store = store
-        self.matrix = matrix if matrix is not None else store.eval_matrix()
+        self.pipeline = IncrementalPipeline(
+            store,
+            program=program,
+            matrix=matrix,
+            extractors=self.config.extractors,
+            policy=self.config.policy,
+            bus=self.config.bus,
+        )
+        self.matrix = self.pipeline.matrix
 
     def collect(self):
-        """Stage 1 from the store: no executions, just loads."""
-        if self._corpus is None:
-            from ..api.events import CollectionFinished, CorpusLoaded
-
-            self._emit(
-                CorpusLoaded(
-                    n_traces=len(self.store),
-                    n_pass=self.store.n_pass,
-                    n_fail=self.store.n_fail,
-                )
-            )
-            corpus = self.store.labeled_corpus()
-            if not corpus.failures:
-                raise CorpusError("corpus has no failed traces to debug from")
-            if not corpus.successes:
-                raise CorpusError(
-                    "corpus has no successful traces to debug from"
-                )
-            signature = corpus.dominant_failure_signature()
-            self._signature = signature
-            self._corpus = corpus.restrict_failures(signature)
-            self._emit(
-                CollectionFinished(
-                    n_success=len(self._corpus.successes),
-                    n_fail=len(self._corpus.failures),
-                    signature=signature,
-                )
-            )
-        return self._corpus
-
-    def _evaluate_logs(self, traces) -> list[PredicateLog]:
-        """Evaluate through the sharded memo, shard-parallel when the
-        session's engine has workers to offer."""
-        return self.matrix.logs_for(
-            self._suite, traces, engine=self.config.engine
+        """A corpus session has no collection stage: its traces are the
+        store's, learned from by :meth:`analyze`.  Refuses rather than
+        running a live simulator sweep unrelated to the store."""
+        raise CorpusError(
+            "a corpus session collects nothing: ingest traces into the "
+            "store, then call analyze()"
         )
 
-    def _evaluation_counters(self):
-        """Matrix counters: fresh ``evaluate`` calls vs memo answers."""
-        return self.matrix.pair_evaluations, self.matrix.pair_hits
-
-    def _kernel_calls(self):
-        """Kernel batches the matrix dispatched for the fresh pairs."""
-        return self.matrix.kernel_calls
+    def analyze(self) -> IncrementalDebugger:
+        """Stages 1-4 from the store: one pipeline bootstrap (the live
+        :meth:`collect` never runs)."""
+        if self._debugger is None:
+            pipeline = self.pipeline
+            pipeline.bootstrap(engine=self.config.engine)
+            self._suite = pipeline.suite
+            self._signature = pipeline.signature
+            self._failure_pid = pipeline.failure_pid
+            self._fully = pipeline.fully
+            self._dag = pipeline.dag
+            # Logs rebuilt from the matrix carry their manifest seeds.
+            self._failing_seeds = [
+                log.seed for log in pipeline.logs if log.failed
+            ]
+            self._debugger = pipeline.debugger
+        return self._debugger
 
     def _workload_key(self) -> str:
         """Outcome-cache namespace for corpus-backed runs.
@@ -111,10 +106,8 @@ class CorpusSession(AIDSession):
         memoized intervention outcomes no matter how the corpus was
         assembled.
         """
-        from ..sim.serialize import stable_digest
-
         key = (
-            f"{self.program.name}#corpus-{stable_digest(sorted(self.store.entries))}"
+            f"{self.program.name}#corpus-{self.store.content_digest}"
             f"@{self.config.max_steps}"
         )
         if self.config.extractors is not None:
@@ -125,6 +118,5 @@ class CorpusSession(AIDSession):
         return key
 
     def save(self) -> None:
-        """Persist the sharded evaluation matrix and the store manifests."""
-        self.store.save()
-        self.matrix.save()
+        """Persist the store manifests and the sharded evaluation matrix."""
+        self.pipeline.save()

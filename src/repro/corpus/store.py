@@ -142,6 +142,22 @@ class TraceEntry:
         )
 
 
+def _read_json(path: Path) -> dict:
+    """Parse one corpus JSON file that must hold an object; anything
+    else (unreadable, truncated, garbage, a bare list) is a
+    :class:`CorpusError` naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise CorpusError(f"{path} is unreadable: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CorpusError(
+            f"{path} is malformed: expected a JSON object, "
+            f"got {type(payload).__name__}"
+        )
+    return payload
+
+
 def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
     """Atomic JSON write: temp file in the same directory + rename.
 
@@ -205,10 +221,7 @@ class TraceStore:
         path = root / MANIFEST_NAME
         if not path.exists():
             raise CorpusError(f"{root} is not a corpus (no {MANIFEST_NAME})")
-        try:
-            manifest = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path} is unreadable: {exc}") from exc
+        manifest = _read_json(path)
         version = manifest.get("version")
         if version == 1:
             manifest = _migrate_v1(root, manifest)
@@ -227,7 +240,7 @@ class TraceStore:
                     f"top-level manifest lists shard {sid!r} but "
                     f"{shard_manifest} is gone"
                 )
-            raw = json.loads(shard_manifest.read_text())
+            raw = _read_json(shard_manifest)
             for fp, row in raw.get("traces", {}).items():
                 entries[fp] = TraceEntry.from_dict(fp, row)
         return cls(
@@ -376,8 +389,8 @@ class TraceStore:
         if not path.exists():
             return None
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
+            payload = _read_json(path)
+        except CorpusError:
             return None
         if payload.get("version") != SUITE_FILE_VERSION:
             return None
@@ -474,7 +487,7 @@ class TraceStore:
         if not path.exists():
             raise CorpusError(f"manifest lists {fingerprint} but {path} is gone")
         return trace_from_dict(
-            json.loads(path.read_text()), fingerprint=fingerprint
+            _read_json(path), fingerprint=fingerprint
         )
 
     def traces(self, label: Optional[str] = None) -> Iterator[ImportedTrace]:

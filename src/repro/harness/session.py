@@ -68,11 +68,12 @@ class SessionConfig:
 class SessionReport:
     """Everything a session learned, for inspection and experiments.
 
-    Full sessions (live or corpus-backed) populate every field;
+    Live sessions populate every field; corpus-backed sessions never
+    materialize trace bodies, so they leave ``corpus`` as ``None`` and
+    carry their log counts in ``n_success``/``n_fail`` instead;
     analyze-only runs (``repro corpus analyze`` through the API's
-    incremental mode) leave ``corpus``, ``discovery``, ``explanation``,
-    and ``approach`` as ``None`` and carry their log counts in
-    ``n_success``/``n_fail`` instead.  :meth:`to_dict` renders either
+    incremental mode) also leave ``discovery``, ``explanation``, and
+    ``approach`` as ``None``.  :meth:`to_dict` renders either
     shape as the versioned JSON schema
     (:data:`repro.core.report.REPORT_SCHEMA_VERSION`).
     """
@@ -89,8 +90,8 @@ class SessionReport:
     approach: Optional[Approach] = None
     #: the failure signature the analysis was restricted to
     signature: Optional[str] = None
-    #: analyzed-log counts when ``corpus`` bodies were never
-    #: materialized (incremental analyze); ``None`` otherwise
+    #: analyzed-log counts (what ``to_dict`` reports when ``corpus``
+    #: bodies were never materialized)
     n_success: Optional[int] = None
     n_fail: Optional[int] = None
     #: program name fallback when no live :class:`Program` is attached
@@ -142,6 +143,9 @@ class AIDSession:
         self._debugger: Optional[StatisticalDebugger] = None
         self._fully: Optional[list[str]] = None
         self._signature: Optional[str] = None
+        #: seeds of the analyzed failing traces, replayed first by
+        #: intervention rounds
+        self._failing_seeds: list[int] = []
 
     def _emit(self, event: "Event") -> None:
         """Observer seam: no-op without a bus; never affects results."""
@@ -208,6 +212,9 @@ class AIDSession:
             from ..api.events import LogsEvaluated, SuiteFrozen
 
             corpus = self.collect()
+            # From the corpus actually analyzed — callers such as
+            # ``debug_all`` seed ``_corpus`` directly, skipping collection.
+            self._failing_seeds = corpus.failing_seeds
             with self._span("discovery"):
                 self._suite = PredicateSuite.discover(
                     corpus.successes,
@@ -218,18 +225,10 @@ class AIDSession:
                 )
             self._emit(SuiteFrozen(n_predicates=len(self._suite)))
             with self._span("evaluate"):
-                self._logs = self._evaluate_logs(
+                self._logs = self._suite.evaluate_all(
                     corpus.successes + corpus.failures
                 )
-            fresh, memoized = self._evaluation_counters()
-            self._emit(
-                LogsEvaluated(
-                    n_logs=len(self._logs),
-                    fresh=fresh,
-                    memoized=memoized,
-                    kernel_calls=self._kernel_calls(),
-                )
-            )
+            self._emit(LogsEvaluated(n_logs=len(self._logs)))
             self._debugger = StatisticalDebugger(logs=self._logs)
             # One pass over the already-maintained per-pid counters —
             # not a rescan of every log per candidate failure pid.
@@ -249,27 +248,6 @@ class AIDSession:
             ]
         return self._debugger
 
-    def _evaluate_logs(self, traces) -> list[PredicateLog]:
-        """Evaluate the frozen suite over the corpus traces.
-
-        Subclass hook: :class:`repro.corpus.session.CorpusSession` routes
-        this through the persistent eval matrix so warm corpora pay zero
-        re-evaluations.
-        """
-        return self._suite.evaluate_all(traces)
-
-    def _evaluation_counters(self) -> tuple[Optional[int], Optional[int]]:
-        """(fresh, memoized) evaluation counts for the ``logs-evaluated``
-        event — ``(None, None)`` when evaluation is not memoized (live
-        sessions); overridden by :class:`~repro.corpus.session.CorpusSession`."""
-        return None, None
-
-    def _kernel_calls(self) -> Optional[int]:
-        """Single-pass kernel batches behind the fresh evaluations —
-        ``None`` when evaluation is not memoized (live sessions);
-        overridden by :class:`~repro.corpus.session.CorpusSession`."""
-        return None
-
     @property
     def failure_pid(self) -> str:
         self.analyze()
@@ -282,10 +260,10 @@ class AIDSession:
 
     def build_dag(self) -> ACDag:
         """Stage 4: temporal precedence → AC-DAG."""
+        self.analyze()
         if self._dag is None:
             from ..api.events import DagBuilt
 
-            self.analyze()
             failed_logs = [log for log in self._logs if log.failed]
             with self._span("dag-build"):
                 self._dag = ACDag.build(
@@ -306,8 +284,7 @@ class AIDSession:
     def make_runner(self) -> SimulationRunner:
         """The fault-injecting intervention runner for this program."""
         self.analyze()
-        corpus = self.collect()
-        seeds = corpus.failing_seeds[: self.config.repeats]
+        seeds = self._failing_seeds[: self.config.repeats]
         extra = self.config.repeats - len(seeds)
         if extra > 0:
             base = max(seeds, default=0) + 1_000_000
@@ -376,6 +353,8 @@ class AIDSession:
             explanation=explanation,
             approach=Approach(approach),
             signature=self._signature,
+            n_success=self._debugger.n_success,
+            n_fail=self._debugger.n_failed,
         )
 
 

@@ -449,7 +449,7 @@ class TestCorpusSession:
         store = TraceStore.init(tmp_path / "c", program=racy_program.name)
         session = CorpusSession(racy_program, store)
         with pytest.raises(CorpusError, match="no failed traces"):
-            session.collect()
+            session.analyze()
 
 
 class TestCorpusCLI:

@@ -216,6 +216,25 @@ def _log_key(log) -> tuple:
     )
 
 
+def _reconstructed(matrix, suite, evaluations) -> dict:
+    """Every evaluated trace's log key, rebuilt from the matrix bitsets
+    (shard tasks ship no logs back)."""
+    entries = matrix.store.entries
+    return {
+        fp: _log_key(
+            matrix.reconstruct_log(
+                suite,
+                fp,
+                failed=entries[fp].failed,
+                seed=entries[fp].seed,
+                signature=entries[fp].signature,
+            )
+        )
+        for ev in evaluations
+        for fp in ev.matrix.traces
+    }
+
+
 class TestMatrixParity:
     @pytest.mark.parametrize("jobs", (0, 8), ids=("serial", "thread8"))
     @pytest.mark.parametrize("path", ("fingerprints", "shards"))
@@ -252,9 +271,7 @@ class TestMatrixParity:
         finally:
             if engine is not None:
                 engine.close()
-        produced = {
-            fp: _log_key(log) for ev in evaluations for fp, log in ev.logs
-        }
+        produced = _reconstructed(matrix, suite, evaluations)
         assert produced == expected
         for counter in ("pair_evaluations", "pair_hits", "kernel_calls"):
             assert getattr(matrix, counter) == getattr(reference, counter)
@@ -270,11 +287,9 @@ class TestLazyLoads:
         store = _ingest(tmp_path / "c", payloads)
         fps = sorted(store.entries)
         cold = store.eval_matrix()
-        cold_logs = {
-            fp: _log_key(log)
-            for ev in cold.evaluate_fingerprints(suite, fps)
-            for fp, log in ev.logs
-        }
+        cold_logs = _reconstructed(
+            cold, suite, cold.evaluate_fingerprints(suite, fps)
+        )
         cold.save()
 
         loads: list[str] = []
@@ -286,11 +301,9 @@ class TestLazyLoads:
 
         monkeypatch.setattr(TraceStore, "load", counting_load)
         warm = TraceStore.open(tmp_path / "c").eval_matrix()
-        warm_logs = {
-            fp: _log_key(log)
-            for ev in warm.evaluate_fingerprints(suite, fps)
-            for fp, log in ev.logs
-        }
+        warm_logs = _reconstructed(
+            warm, suite, warm.evaluate_fingerprints(suite, fps)
+        )
         assert loads == []
         assert warm.pair_evaluations == 0
         assert warm.kernel_calls == 0

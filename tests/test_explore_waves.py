@@ -366,6 +366,28 @@ class TestBatchedIngestion:
         assert len(batched.logs) == len(serial.logs)
         assert sorted(batched.store.entries) == sorted(serial.store.entries)
 
+    def test_single_ingest_event_carries_its_removed_pids(
+        self, tmp_path, racy_program, racy_corpus
+    ):
+        # One stored success leaves the FD set loose enough that a later
+        # success shrinks it.
+        store = TraceStore.init(tmp_path / "c", program=racy_program.name)
+        for trace in racy_corpus.successes[:1] + racy_corpus.failures[:15]:
+            store.ingest(trace)
+        log = EventLog()
+        pipeline = IncrementalPipeline(
+            store, program=racy_program, bus=EventBus([log])
+        )
+        pipeline.bootstrap()
+        held_back = racy_corpus.successes[1:] + racy_corpus.failures[15:]
+        results = [pipeline.ingest(t) for t in held_back]
+        patched = [e for e in log.events if e.kind == "dag-patched"]
+        assert [(e.fingerprint, e.removed_pids) for e in patched] == [
+            (r.fingerprint, r.removed_pids) for r in results if r.added
+        ]
+        # successes only shrink the FD set; the event must report it
+        assert any(r.removed_pids for r in results if not r.failed)
+
     def test_batch_stamps_schedule_signatures(
         self, tmp_path, racy_program, racy_corpus
     ):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.multi import debug_all
-from repro.harness.session import SessionConfig
+from repro.harness.session import AIDSession, SessionConfig
 from repro.sim import Program
 
 
@@ -114,3 +114,27 @@ class TestDebugAll:
         assert not report.reports
         assert report.skipped
         assert "not debugged" in report.render()
+
+
+def test_each_session_replays_its_signatures_failing_seeds(monkeypatch):
+    """``debug_all`` seeds each session's corpus directly (no collection
+    stage); interventions must still replay that signature's failures."""
+    seen = []
+    real_make_runner = AIDSession.make_runner
+
+    def spy(self):
+        runner = real_make_runner(self)
+        seen.append((self._corpus, runner.seeds))
+        return runner
+
+    monkeypatch.setattr(AIDSession, "make_runner", spy)
+    report = debug_all(
+        _two_bugs_program(),
+        config=SessionConfig(n_success=30, n_fail=30, repeats=4),
+        min_failures=4,
+    )
+    assert len(seen) == len(report.reports) == 2
+    for corpus, seeds in seen:
+        failing = corpus.failing_seeds[:4]
+        assert failing
+        assert seeds[: len(failing)] == failing
