@@ -23,14 +23,15 @@ from dataclasses import dataclass, field
 
 
 class VirtualClock:
-    """Global monotonically-increasing tick counter."""
+    """Global monotonically-increasing tick counter.
+
+    ``now`` is a plain attribute: it is read on every action, and the
+    scheduler, which owns virtual time, sets it directly when it jumps
+    to the next step's instant (never backwards).
+    """
 
     def __init__(self) -> None:
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        return self._now
+        self.now = 0
 
     def advance(self, ticks: int) -> int:
         """Advance the clock and return the *new* time.
@@ -41,8 +42,8 @@ class VirtualClock:
         """
         if ticks < 0:
             raise ValueError(f"cannot advance clock by {ticks} ticks")
-        self._now += ticks
-        return self._now
+        self.now += ticks
+        return self.now
 
 
 @dataclass

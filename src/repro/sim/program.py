@@ -61,9 +61,8 @@ MethodFn = Callable[..., Generator]
 
 @dataclass(frozen=True)
 class Action:
-    """Base class for primitive actions; ``duration`` is in virtual ticks."""
-
-    duration: int = field(default=1, init=False)
+    """Base class for primitive actions.  An action keeps its thread
+    busy for one virtual tick, a :class:`SleepAction` for its ``ticks``."""
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,9 @@ class WaitCompletedAction(Action):
     selector: MethodSelector
 
 
-def action_cost(action: Action) -> int:
-    """Virtual-time cost of executing one action."""
-    if isinstance(action, SleepAction):
-        return action.ticks
-    return 1
+#: The one-tick sleep every method call yields; actions are immutable,
+#: so all calls share one instance.
+_CALL_TICK = SleepAction(1)
 
 
 def action_footprint(action: Optional[Action], thread: str) -> frozenset:
@@ -271,8 +268,9 @@ class SimContext:
         and the write — the classic lost-update window.
         """
         value = yield ReadAction(var)
-        yield WriteAction(var, fn(value))
-        return fn(value)
+        value = fn(value)
+        yield WriteAction(var, value)
+        return value
 
     def sleep(self, ticks: int):
         if ticks > 0:
@@ -336,7 +334,7 @@ class SimContext:
         try:
             # One tick of call overhead: guarantees every window has
             # positive width so cross-thread overlap is well defined.
-            yield SleepAction(1)
+            yield _CALL_TICK
             if body_skipped:
                 ret: Any = entry.force_return.value
             else:

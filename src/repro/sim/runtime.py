@@ -29,7 +29,7 @@ from .program import (
     WaitCompletedAction,
     WriteAction,
 )
-from .tracing import Access, AccessType, ExecutionTrace, MethodKey
+from .tracing import Access, AccessType, ExecutionTrace, MethodExecution
 
 
 @dataclass
@@ -62,7 +62,8 @@ class Runtime:
         self.locks_held: dict[str, list[str]] = {}  # thread -> lock names
         self.lamport: dict[str, LamportClock] = {}
         self.registry = LamportRegistry()
-        self.completed: list[MethodKey] = []
+        #: completed invocations by method name (order-forcing waits)
+        self.completed: dict[str, list[MethodExecution]] = {}
         self.finished_threads: set[str] = set()
         self._stacks: dict[str, list[tuple[int, str]]] = {}  # thread -> frames
 
@@ -132,11 +133,16 @@ class Runtime:
         frames = self._stacks[thread]
         if frames and frames[-1][0] == call_id:
             frames.pop()
-        self.completed.append(record.key)
-        self.registry.stamp(f"done:{record.key}", self.lamport[thread])
+        self.completed.setdefault(record.method, []).append(record)
+        # A completion is a local event: one more tick, but no Lamport
+        # channel (nothing observes a per-call completion stamp).
+        self.lamport[thread].tick()
 
     def is_completed(self, selector: MethodSelector) -> bool:
-        return any(selector.matches_key(key) for key in self.completed)
+        return any(
+            selector.matches(r.method, r.thread, r.occurrence)
+            for r in self.completed.get(selector.method, ())
+        )
 
     # -- primitive actions -------------------------------------------------
 
@@ -148,8 +154,41 @@ class Runtime:
         condition clears.  Virtual time is owned by the scheduler: the
         action's effects are stamped at the current clock value, and the
         scheduler keeps the thread busy for the action's remaining cost.
+
+        Dispatch is on the exact action class, commonest first: sleeps
+        (every call's overhead tick and every ``work``) dominate.
         """
-        if isinstance(action, AcquireAction):
+        cls = action.__class__
+        if cls is SleepAction:
+            self.lamport[thread].tick()
+            return None, None
+
+        if cls is JoinAction:
+            if action.thread not in self.finished_threads:
+                return None, Blocked(reason="join", thread=action.thread)
+            self.registry.observe(
+                f"thread-done:{action.thread}", self.lamport[thread]
+            )
+            return None, None
+
+        if cls is SpawnAction:
+            # The scheduler creates the thread; we only stamp causality.
+            self.registry.stamp(f"thread:{action.thread}", self.lamport[thread])
+            return None, None
+
+        if cls is WriteAction:
+            self.shared[action.var] = action.value
+            lamport = self.registry.stamp(f"var:{action.var}", self.lamport[thread])
+            self._record_access(thread, action.var, AccessType.WRITE, lamport)
+            return None, None
+
+        if cls is ReadAction:
+            value = self.shared.get(action.var)
+            lamport = self.registry.observe(f"var:{action.var}", self.lamport[thread])
+            self._record_access(thread, action.var, AccessType.READ, lamport)
+            return value, None
+
+        if cls is AcquireAction:
             owner = self.lock_owner.get(action.lock)
             if owner is not None and owner != thread:
                 return None, Blocked(reason="lock", lock=action.lock)
@@ -162,33 +201,7 @@ class Runtime:
             self.registry.observe(f"lock:{action.lock}", self.lamport[thread])
             return None, None
 
-        if isinstance(action, JoinAction):
-            if action.thread not in self.finished_threads:
-                return None, Blocked(reason="join", thread=action.thread)
-            self.registry.observe(
-                f"thread-done:{action.thread}", self.lamport[thread]
-            )
-            return None, None
-
-        if isinstance(action, WaitCompletedAction):
-            if not self.is_completed(action.selector):
-                return None, Blocked(reason="event", selector=action.selector)
-            self.lamport[thread].tick()
-            return None, None
-
-        if isinstance(action, ReadAction):
-            value = self.shared.get(action.var)
-            lamport = self.registry.observe(f"var:{action.var}", self.lamport[thread])
-            self._record_access(thread, action.var, AccessType.READ, lamport)
-            return value, None
-
-        if isinstance(action, WriteAction):
-            self.shared[action.var] = action.value
-            lamport = self.registry.stamp(f"var:{action.var}", self.lamport[thread])
-            self._record_access(thread, action.var, AccessType.WRITE, lamport)
-            return None, None
-
-        if isinstance(action, ReleaseAction):
+        if cls is ReleaseAction:
             if self.lock_owner.get(action.lock) != thread:
                 raise LockProtocolError(
                     f"{thread} released lock {action.lock!r} it does not hold"
@@ -198,13 +211,10 @@ class Runtime:
             self.registry.stamp(f"lock:{action.lock}", self.lamport[thread])
             return None, None
 
-        if isinstance(action, SleepAction):
+        if cls is WaitCompletedAction:
+            if not self.is_completed(action.selector):
+                return None, Blocked(reason="event", selector=action.selector)
             self.lamport[thread].tick()
-            return None, None
-
-        if isinstance(action, SpawnAction):
-            # The scheduler creates the thread; we only stamp causality.
-            self.registry.stamp(f"thread:{action.thread}", self.lamport[thread])
             return None, None
 
         raise TypeError(f"unknown action {action!r}")

@@ -223,10 +223,19 @@ class Schedule:
 
     def signature(self) -> str:
         """Content address of the *interleaving* (seed excluded): the
-        same fingerprint scheme every other repro artifact uses."""
-        return stable_digest(
-            {"program": self.program, "decisions": list(self.decisions)}
-        )
+        same fingerprint scheme every other repro artifact uses.
+
+        Memoized on the instance (the schedule is immutable): explore
+        asks every frontier schedule for it once per plan.  The memo is
+        not a dataclass field, so equality and hashing ignore it, and a
+        pickled schedule carries it along."""
+        signature = self.__dict__.get("_signature")
+        if signature is None:
+            signature = stable_digest(
+                {"program": self.program, "decisions": list(self.decisions)}
+            )
+            object.__setattr__(self, "_signature", signature)
+        return signature
 
     def canonical_signature(
         self, footprints: Optional[Sequence[Footprint]] = None

@@ -37,19 +37,13 @@ Failure modes recorded on the trace:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 from .errors import SimulatedError
 from .faults import Intervention, InterventionSet
-from .program import (
-    Program,
-    SimContext,
-    SpawnAction,
-    action_cost,
-    action_footprint,
-)
+from .program import Action, Program, SimContext, SleepAction, SpawnAction
 from .runtime import Blocked, Runtime
 from .schedule import (
     RandomStrategy,
@@ -70,7 +64,7 @@ class ThreadStatus(Enum):
     CRASHED = "crashed"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Thread:
     name: str
     gen: object  # generator of Actions
@@ -79,11 +73,14 @@ class _Thread:
     pending_send: object = None
     pending_action: object = None  # action to retry after unblocking
     blocked_on: Optional[Blocked] = None
-    order: int = 0
     ready_at: int = 0  # busy until this virtual time (discrete-event)
 
-    def runnable(self) -> bool:
-        return self.status is ThreadStatus.RUNNABLE
+
+def _partition(threads: dict) -> tuple[list[_Thread], list[_Thread]]:
+    """The runnable and the blocked threads, each in spawn order."""
+    ready = [t for t in threads.values() if t.status is ThreadStatus.RUNNABLE]
+    blocked = [t for t in threads.values() if t.status is ThreadStatus.BLOCKED]
+    return ready, blocked
 
 
 @dataclass
@@ -108,7 +105,6 @@ class Simulator:
     program: Program
     max_steps: int = DEFAULT_MAX_STEPS
     strategy_factory: Optional[Callable[[int], SchedulerStrategy]] = None
-    _spawn_counter: int = field(default=0, init=False, repr=False)
 
     def run(
         self,
@@ -131,38 +127,36 @@ class Simulator:
             )
         trace = ExecutionTrace(self.program.name, seed)
         runtime = Runtime(self.program, interventions, seed, trace)
+        clock = runtime.clock
         decisions: list[str] = []
-        footprints: list[frozenset] = []
+        actions: list[tuple] = []  # (action run, thread) per decision
 
-        threads: dict[str, _Thread] = {}
-        spawn_order = 0
+        threads: dict[str, _Thread] = {}  # insertion order = spawn order
 
         def start_thread(name: str, method: str, args: tuple, parent: Optional[str]):
-            nonlocal spawn_order
             if name in threads:
                 raise ValueError(f"duplicate thread name {name!r}")
             runtime.register_thread(name, spawned_by=parent)
             ctx = SimContext(runtime, name)
             gen = ctx.call(method, *args)
-            spawn_order += 1
             threads[name] = _Thread(
-                name=name,
-                gen=gen,
-                ctx=ctx,
-                order=spawn_order,
-                ready_at=runtime.clock.now,
+                name=name, gen=gen, ctx=ctx, ready_at=clock.now
             )
 
         start_thread("main", self.program.main, (), parent=None)
 
+        # Rebuilt only when a thread spawns, blocks, wakes, finishes or
+        # crashes; every other step leaves both lists as they are.
+        ready, blocked = _partition(threads)
         steps = 0
+        max_steps = self.max_steps
+        choose = strategy.choose
+        step = self._step
+        RUNNABLE = ThreadStatus.RUNNABLE
         while True:
-            self._unblock(threads, runtime)
-            runnable = [t for t in threads.values() if t.runnable()]
-            if not runnable:
-                blocked = [
-                    t for t in threads.values() if t.status is ThreadStatus.BLOCKED
-                ]
+            if blocked and self._unblock(blocked, runtime):
+                ready, blocked = _partition(threads)
+            if not ready:
                 if blocked:
                     trace.record_failure(
                         FailureInfo(
@@ -170,58 +164,55 @@ class Simulator:
                             exception=None,
                             method=runtime.current_method(blocked[0].name),
                             thread=blocked[0].name,
-                            time=runtime.clock.now,
+                            time=clock.now,
                         )
                     )
                 break  # all done, or deadlocked
-            if steps >= self.max_steps:
+            if steps >= max_steps:
                 trace.record_failure(
                     FailureInfo(
                         mode="hang",
                         exception=None,
                         method=None,
                         thread=None,
-                        time=runtime.clock.now,
+                        time=clock.now,
                     )
                 )
                 break
             steps += 1
 
             # Discrete-event step: one serialization tick, then run the
-            # strategy's pick among threads whose busy period elapsed.
-            execute_at = runtime.clock.now + 1
-            eligible = [t for t in runnable if t.ready_at <= execute_at]
-            if not eligible:
-                next_ready = min(t.ready_at for t in runnable)
-                runtime.clock.advance(next_ready - runtime.clock.now - 1)
-                execute_at = runtime.clock.now + 1
-                eligible = [t for t in runnable if t.ready_at <= execute_at]
-            runtime.clock.advance(1)
-            candidates = sorted(eligible, key=lambda t: t.order)
+            # strategy's pick among threads whose busy period elapsed —
+            # or, when none has, jump to the earliest instant one does.
+            execute_at = clock.now + 1
+            candidates = tuple([t.name for t in ready if t.ready_at <= execute_at])
+            if not candidates:
+                execute_at = min(t.ready_at for t in ready)
+                candidates = tuple(
+                    [t.name for t in ready if t.ready_at <= execute_at]
+                )
+            clock.now = execute_at
             point = SchedulePoint(
-                index=len(decisions),
-                time=execute_at,
-                candidates=tuple(t.name for t in candidates),
+                index=len(decisions), time=execute_at, candidates=candidates
             )
-            chosen = strategy.choose(point)
-            thread = next(
-                (t for t in candidates if t.name == chosen), None
-            )
-            if thread is None:
+            chosen = choose(point)
+            if chosen not in candidates:
                 raise ScheduleError(
                     f"strategy chose {chosen!r}, not in the ready set "
                     f"{point.candidates} at decision {point.index}"
                 )
+            thread = threads[chosen]
             decisions.append(chosen)
-            footprints.append(
-                self._step(thread, threads, runtime, trace, start_thread)
-            )
+            n_threads = len(threads)
+            actions.append((step(thread, runtime, trace, start_thread), chosen))
+            if thread.status is not RUNNABLE or len(threads) != n_threads:
+                ready, blocked = _partition(threads)
 
         for t in threads.values():
             if t.status not in (ThreadStatus.DONE, ThreadStatus.CRASHED):
                 t.gen.close()
                 runtime.abort_thread_calls(t.name, "Unfinished")
-        trace.end_time = runtime.clock.now
+        trace.end_time = clock.now
         return ExecutionResult(
             trace=trace,
             steps=steps,
@@ -230,15 +221,16 @@ class Simulator:
                 seed=seed,
                 decisions=tuple(decisions),
             ),
-            footprints=tuple(footprints),
+            actions=tuple(actions),
         )
 
     # -- internals -------------------------------------------------------
 
-    def _step(self, thread, threads, runtime, trace, start_thread) -> frozenset:
-        """Advance one thread by one primitive action; returns the
-        decision's resource footprint (see
-        :func:`~repro.sim.program.action_footprint`)."""
+    def _step(self, thread, runtime, trace, start_thread) -> Optional[Action]:
+        """Advance one thread by one primitive action; returns the action
+        (``None`` when the thread finished or crashed instead), from
+        which :attr:`ExecutionResult.footprints` derives the decision's
+        resource footprint."""
         try:
             if thread.pending_action is not None:
                 action = thread.pending_action
@@ -250,12 +242,12 @@ class Simulator:
             thread.status = ThreadStatus.DONE
             runtime.release_all(thread.name)
             runtime.thread_finished(thread.name)
-            return action_footprint(None, thread.name)
+            return None
         except SimulatedError as exc:
             self._crash(thread, exc, runtime, trace)
-            return action_footprint(None, thread.name)
+            return None
 
-        if isinstance(action, SpawnAction):
+        if action.__class__ is SpawnAction:
             start_thread(action.thread, action.method, action.args, thread.name)
 
         result, blocked = runtime.perform(thread.name, action)
@@ -265,10 +257,13 @@ class Simulator:
             thread.pending_action = action
         else:
             thread.pending_send = result
-            # The thread stays busy for the action's cost; its next
-            # action executes no earlier than ready_at.
-            thread.ready_at = runtime.clock.now + action_cost(action)
-        return action_footprint(action, thread.name)
+            # The thread stays busy for the action's cost (a sleep's
+            # ticks, one tick otherwise); its next action executes no
+            # earlier than ready_at.
+            thread.ready_at = runtime.clock.now + (
+                action.ticks if action.__class__ is SleepAction else 1
+            )
+        return action
 
     def _crash(self, thread, exc: SimulatedError, runtime, trace) -> None:
         thread.status = ThreadStatus.CRASHED
@@ -297,23 +292,24 @@ class Simulator:
             )
         )
 
-    def _unblock(self, threads: dict, runtime: Runtime) -> None:
-        """Move blocked threads whose wait condition cleared to runnable."""
-        for t in threads.values():
-            if t.status is not ThreadStatus.BLOCKED or t.blocked_on is None:
-                continue
+    @staticmethod
+    def _unblock(blocked: list[_Thread], runtime: Runtime) -> bool:
+        """Move blocked threads whose wait condition cleared to runnable;
+        returns whether any did."""
+        woke = False
+        for t in blocked:
             b = t.blocked_on
-            clear = False
             if b.reason == "lock":
-                owner = runtime.lock_owner.get(b.lock)
-                clear = owner is None
+                clear = runtime.lock_owner.get(b.lock) is None
             elif b.reason == "join":
                 clear = b.thread in runtime.finished_threads
-            elif b.reason == "event":
+            else:  # "event"
                 clear = runtime.is_completed(b.selector)
             if clear:
                 t.status = ThreadStatus.RUNNABLE
                 t.blocked_on = None
+                woke = True
+        return woke
 
 
 def run_program(

@@ -224,11 +224,6 @@ class ExecutionTrace:
         if access.call_id in self._accesses_by_call:
             self._accesses_by_call[access.call_id].append(access)
 
-    def abort_open_calls(self, time: int, lamport: int, exception: str) -> None:
-        """Close any still-open frames when a thread dies abruptly."""
-        for call_id in sorted(self._open_calls, reverse=True):
-            self.end_call(call_id, time, lamport, None, exception)
-
     def record_failure(self, failure: FailureInfo) -> None:
         # Keep the earliest failure; a crash may cascade.
         if self.failure is None:
@@ -290,10 +285,21 @@ class ExecutionResult:
     trace: ExecutionTrace
     steps: int
     schedule: Optional[object] = None
-    #: per-decision resource footprints, parallel to
-    #: ``schedule.decisions`` — the independence information
-    #: :meth:`~repro.sim.schedule.Schedule.canonical_signature` consumes
-    footprints: tuple = ()
+    #: ``(action, thread)`` per decision, parallel to
+    #: ``schedule.decisions``; the action is ``None`` where the thread
+    #: finished or crashed instead of running one
+    actions: tuple = ()
+
+    @property
+    def footprints(self) -> tuple[frozenset, ...]:
+        """Per-decision resource footprints, parallel to
+        ``schedule.decisions`` — the independence information
+        :meth:`~repro.sim.schedule.Schedule.canonical_signature`
+        consumes.  Derived on each access from :attr:`actions`, so runs
+        that never ask (debug sessions) never build them."""
+        from .program import action_footprint
+
+        return tuple(action_footprint(a, thread) for a, thread in self.actions)
 
     @property
     def failed(self) -> bool:

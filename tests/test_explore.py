@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -137,6 +138,17 @@ class TestSchedule:
         assert a.signature() != Schedule(
             program="p", seed=1, decisions=("t1", "main")
         ).signature()
+
+    def test_signature_is_memoized_and_survives_pickling(self):
+        schedule = Schedule(program="p", seed=3, decisions=("main", "t1"))
+        signature = schedule.signature()
+        assert schedule.signature() is signature
+        clone = pickle.loads(pickle.dumps(schedule))
+        assert clone == schedule and hash(clone) == hash(schedule)
+        assert clone.signature() == signature
+        # A fresh, never-hashed schedule still equals the memoized one.
+        fresh = Schedule(program="p", seed=3, decisions=("main", "t1"))
+        assert fresh == schedule and fresh.signature() == signature
 
     def test_transitions_include_start_edge(self):
         schedule = Schedule(program="p", seed=0, decisions=("a", "b", "a"))

@@ -5,6 +5,7 @@ mutation, and batched corpus ingestion."""
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -113,6 +114,17 @@ class TestCanonicalDecisions:
             execution.footprints
         )
         assert canonical  # well-formed (no cycle, full coverage)
+
+    def test_footprints_derive_from_recorded_actions(self, npgsql):
+        """Footprints are computed on access from the ``(action, thread)``
+        pairs, and an execution that crossed a pickle boundary (the
+        process backend) derives the same ones."""
+        execution = Simulator(npgsql).run(1)
+        assert [t for _, t in execution.actions] == list(
+            execution.schedule.decisions
+        )
+        clone = pickle.loads(pickle.dumps(execution))
+        assert clone.footprints == execution.footprints
 
 
 # ---------------------------------------------------------------------------

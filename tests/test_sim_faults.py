@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.sim import (
     CatchException,
     DelayBefore,
@@ -14,6 +18,7 @@ from repro.sim import (
     SerializeMethods,
     run_program,
 )
+from repro.sim.faults import NO_ENTRY_PLAN, NO_EXIT_PLAN
 
 
 def _program():
@@ -179,3 +184,16 @@ class TestSelectors:
         assert exit_.delays == 4 and exit_.locks == ["Lk"]
         assert exit_.catch is not None
         assert not ivs.entry_plan("Other", "main", 0).locks
+
+    def test_unnamed_methods_share_frozen_empty_plans(self):
+        ivs = InterventionSet(
+            (ForceOrder(MethodSelector("A"), MethodSelector("B")),)
+        )
+        assert ivs.methods == frozenset({"A", "B"})
+        assert ivs.entry_plan("Other", "main", 0) is NO_ENTRY_PLAN
+        assert ivs.exit_plan("Other", "main", 0) is NO_EXIT_PLAN
+        assert ivs.entry_plan("B", "main", 0).wait_for == [MethodSelector("A")]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NO_ENTRY_PLAN.delays = 5
+        assert NO_ENTRY_PLAN.locks == () and NO_ENTRY_PLAN.wait_for == ()
+        assert NO_EXIT_PLAN.locks == ()

@@ -75,6 +75,28 @@ class TestSharedState:
         accesses = list(trace.accesses())
         assert [a.access_type.value for a in accesses] == ["R", "W"]
 
+    def test_update_calls_fn_once(self):
+        """A side-effecting ``fn`` (here: one that draws from the thread
+        RNG) runs once, so the value written is the value returned."""
+        calls = []
+
+        def bump(ctx):
+            def fn(value):
+                calls.append(value)
+                return value + ctx.rand()
+
+            return fn
+
+        def main(ctx):
+            returned = yield from ctx.update("x", bump(ctx))
+            written = yield from ctx.read("x")
+            return returned, written
+
+        trace = _run({"Main": main}, shared={"x": 0}).trace
+        returned, written = next(trace.executions_of("Main")).return_value
+        assert calls == [0]
+        assert returned == written
+
 
 class TestLocks:
     def test_lock_mutual_exclusion(self):
