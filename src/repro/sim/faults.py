@@ -197,7 +197,9 @@ def _selectors(item: Intervention) -> tuple[MethodSelector, ...]:
         return item.selectors
     if isinstance(item, ForceOrder):
         return (item.first, item.then)
-    return (item.selector,)
+    if isinstance(item, (CatchException, DelayBefore, DelayReturn, ForceReturn)):
+        return (item.selector,)
+    return ()  # no plan reads other intervention types
 
 
 class InterventionSet:

@@ -21,7 +21,6 @@ record/read sequences stay correct — the evaluation kernel
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Optional
@@ -154,7 +153,9 @@ class ExecutionTrace:
     def __init__(self, program_name: str, seed: int) -> None:
         self.program_name = program_name
         self.seed = seed
-        self._call_ids = itertools.count()
+        # A plain counter, not itertools.count: traces are pickled across
+        # the process backend, and itertools objects stop pickling in 3.14.
+        self._next_call_id = 0
         self._open_calls: dict[int, dict] = {}
         self._occurrences: dict[tuple[str, str], int] = {}
         self._completed: list[MethodExecution] = []
@@ -173,7 +174,8 @@ class ExecutionTrace:
         lamport: int,
         parent_call_id: Optional[int],
     ) -> int:
-        call_id = next(self._call_ids)
+        call_id = self._next_call_id
+        self._next_call_id += 1
         occurrence = self._occurrences.get((thread, method), 0)
         self._occurrences[(thread, method)] = occurrence + 1
         self._open_calls[call_id] = {
