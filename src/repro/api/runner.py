@@ -127,7 +127,7 @@ def run(
 
 def _run_incremental(spec: RunSpec, engine, bus: EventBus) -> "SessionReport":
     """Analyze-only: bootstrap the incremental pipeline over the store
-    (shard-parallel when the engine has workers) and report its views."""
+    and report its views."""
     from ..corpus import IncrementalPipeline, TraceStore
     from ..harness.session import SessionReport
     from . import registry as registries

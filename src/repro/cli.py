@@ -14,17 +14,16 @@ Commands
     Regenerate the paper's evaluation artifacts as text tables.
 ``trace <workload> --seed N [-o FILE]``
     Run one execution and dump its trace as JSON (Figure 9(b) schema).
-``corpus init|ingest|stats|shard-stats|analyze|compact|reshard``
+``corpus init|ingest|stats|analyze|compact``
     Manage a persistent trace-corpus store: content-addressed ingestion
-    (dedup by trace fingerprint), corpus and per-shard statistics, the
-    offline analysis phase with memoized predicate evaluation
-    (``analyze --jobs N`` runs one evaluation task per shard; a warm
-    corpus also reuses its persisted predicate suite and skips extractor
-    rediscovery), compaction of shadowed matrix rows, and in-place
-    resharding (``reshard DIR --width W``) preserving every memoized
-    pair.  ``debug --corpus DIR`` then debugs from the stored logs
-    instead of re-running the collection sweep.  ``stats --json``
-    emits a versioned machine-readable payload.
+    (dedup by trace fingerprint), corpus statistics, the offline
+    analysis phase with memoized predicate evaluation (``analyze --jobs
+    N`` parallelizes discovery's per-trace summarization; a warm corpus
+    also reuses its persisted predicate suite and skips extractor
+    rediscovery), and compaction of shadowed matrix rows.  ``debug
+    --corpus DIR`` then debugs from the stored logs instead of
+    re-running the collection sweep.  ``stats --json`` emits a
+    versioned machine-readable payload.
 ``obs summary|compare|spans|index|tail``
     Inspect durable run telemetry: the schema-versioned JSONL run logs
     that ``run``/``debug``/``corpus analyze`` write under ``--log-dir``
@@ -489,15 +488,9 @@ def _cmd_corpus_init(args: argparse.Namespace) -> int:
     program = None
     if args.workload is not None:
         program = REGISTRY.build(args.workload).program.name
-    store = TraceStore.init(
-        args.dir, program=program, shard_width=args.shard_width
-    )
+    store = TraceStore.init(args.dir, program=program)
     pinned = f" (pinned to {store.program})" if store.program else ""
-    n_shards = 16 ** store.shard_width if store.shard_width else 1
-    print(
-        f"initialized empty corpus at {args.dir}{pinned} "
-        f"(shard width {store.shard_width}: up to {n_shards} shards)"
-    )
+    print(f"initialized empty corpus at {args.dir}{pinned}")
     return 0
 
 
@@ -570,10 +563,6 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
     print(f"corpus   : {args.dir}")
     print(f"program  : {store.program or '(unpinned)'}")
     print(f"traces   : {len(store)} ({store.n_pass} pass / {store.n_fail} fail)")
-    print(
-        f"shards   : {len(store.shard_ids)} populated "
-        f"(width {store.shard_width})"
-    )
     for signature, count in sorted(store.signature_counts().items()):
         print(f"  failure signature {signature}: {count}")
     schedules = store.schedule_counts()
@@ -586,49 +575,15 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
             store.schedule_counts_by_signature().items()
         ):
             print(f"  failure signature {signature}: {count} schedules")
-    matrix = store.eval_matrix()
-    if matrix.n_traces:
+    matrix = store.eval_matrix().matrix
+    if matrix.traces:
         print(
             f"eval matrix: {matrix.n_pids} predicates x "
-            f"{matrix.n_traces} traces, {matrix.n_pairs} pairs "
+            f"{len(matrix.traces)} traces, {matrix.n_pairs} pairs "
             f"memoized ({matrix.coverage():.0%} of the matrix)"
         )
     else:
         print("eval matrix: empty (run `repro corpus analyze`)")
-    return 0
-
-
-def _cmd_corpus_shard_stats(args: argparse.Namespace) -> int:
-    store = TraceStore.open(args.dir)
-    matrix = store.eval_matrix()
-    matrix.load_all()
-    rows = []
-    for sid in store.shard_ids:
-        entries = store.shard_entries(sid)
-        n_fail = sum(1 for e in entries.values() if e.failed)
-        shard_matrix = matrix.shard(sid)
-        shard_dir = store.shard_dir(sid)
-        size = sum(
-            p.stat().st_size for p in shard_dir.rglob("*") if p.is_file()
-        )
-        rows.append(
-            [
-                sid,
-                str(len(entries)),
-                f"{len(entries) - n_fail}/{n_fail}",
-                str(shard_matrix.n_pairs),
-                f"{size:,}",
-            ]
-        )
-    print(
-        f"corpus {args.dir}: {len(store)} traces across "
-        f"{len(store.shard_ids)} shards (width {store.shard_width})"
-    )
-    print(
-        render_table(
-            ["shard", "traces", "pass/fail", "memo pairs", "bytes"], rows
-        )
-    )
     return 0
 
 
@@ -692,29 +647,8 @@ def _cmd_corpus_compact(args: argparse.Namespace) -> int:
         f"predicate rows and {stats.dropped_columns} evicted trace columns"
     )
     print(
-        f"shard bytes: {stats.bytes_before:,} -> {stats.bytes_after:,} "
+        f"matrix bytes: {stats.bytes_before:,} -> {stats.bytes_after:,} "
         f"({stats.bytes_reclaimed:,} reclaimed)"
-    )
-    return 0
-
-
-def _cmd_corpus_reshard(args: argparse.Namespace) -> int:
-    store = TraceStore.open(args.dir)
-    width_before = store.shard_width
-    stats = store.reshard(args.width)
-    if width_before == args.width:
-        print(
-            f"corpus {args.dir} already has shard width {args.width}; "
-            "nothing to do"
-        )
-        return 0
-    print(
-        f"resharded {args.dir}: width {width_before} -> {args.width}, "
-        f"{stats['n_traces']} traces across "
-        f"{stats['shards_before']} -> {stats['shards_after']} shards"
-    )
-    print(
-        f"eval matrix: {stats['pairs_preserved']} memoized pairs preserved"
     )
     return 0
 
@@ -758,10 +692,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         "init": _cmd_corpus_init,
         "ingest": _cmd_corpus_ingest,
         "stats": _cmd_corpus_stats,
-        "shard-stats": _cmd_corpus_shard_stats,
         "analyze": _cmd_corpus_analyze,
         "compact": _cmd_corpus_compact,
-        "reshard": _cmd_corpus_reshard,
     }
     try:
         return handlers[args.corpus_command](args)
@@ -948,12 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", default=None, choices=REGISTRY.names(),
         help="pin the corpus to one workload's program up front",
     )
-    cinit.add_argument(
-        "--shard-width", type=int, default=2, choices=range(0, 5),
-        metavar="W",
-        help="hex chars of the trace fingerprint used as the shard id "
-        "(default 2: up to 256 shards; 0 disables sharding)",
-    )
 
     cingest = csub.add_parser(
         "ingest",
@@ -982,53 +908,33 @@ def build_parser() -> argparse.ArgumentParser:
         "of text (for service health checks)",
     )
 
-    cshards = csub.add_parser(
-        "shard-stats",
-        help="per-shard breakdown: traces, labels, memoized pairs, bytes",
-    )
-    cshards.add_argument("dir")
-
     canalyze = csub.add_parser(
         "analyze",
         help="offline phase over the stored logs: predicates -> SD -> "
-        "AC-DAG, with evaluation memoized in the corpus (one task per "
-        "shard with --jobs) and the frozen suite persisted for warm "
-        "restarts",
+        "AC-DAG, with evaluation memoized in the corpus and the frozen "
+        "suite persisted for warm restarts",
     )
     canalyze.add_argument("dir")
     canalyze.add_argument("--dot", action="store_true",
                           help="also print the AC-DAG in Graphviz format")
     canalyze.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="evaluate corpus shards in parallel on N workers (the "
-        "merged result is identical for any job count)",
+        help="summarize traces for predicate discovery on N workers "
+        "(the result is identical for any job count)",
     )
     canalyze.add_argument(
         "--backend", default=None, choices=registries.backends.names(),
-        help="where shard evaluation runs (default serial; --jobs N>1 "
-        "implies thread)",
+        help="where discovery's summarization runs (default serial; "
+        "--jobs N>1 implies thread)",
     )
     add_obs_flags(canalyze)
 
     ccompact = csub.add_parser(
         "compact",
-        help="reclaim eval-matrix rows shadowed by predicate drift, "
-        "columns of evicted traces, and leftover per-shard side files",
+        help="reclaim eval-matrix rows shadowed by predicate drift and "
+        "columns of evicted traces",
     )
     ccompact.add_argument("dir")
-
-    creshard = csub.add_parser(
-        "reshard",
-        help="rewrite the corpus under a new shard width, in place, "
-        "preserving every memoized (predicate, trace) pair",
-    )
-    creshard.add_argument("dir")
-    creshard.add_argument(
-        "--width", type=int, required=True, choices=range(0, 5),
-        metavar="W",
-        help="new shard width (hex chars of the fingerprint, 0-4; "
-        "0 disables sharding)",
-    )
 
     add_obs_subcommand(sub)
 

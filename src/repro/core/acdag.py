@@ -183,17 +183,17 @@ class ACDag:
 
     @classmethod
     def merge(cls, dags: Sequence["ACDag"]) -> "ACDag":
-        """Merge AC-DAGs built over disjoint failed-log sets (one per
-        corpus shard) into the DAG a single build over all logs yields.
+        """Merge AC-DAGs built over disjoint failed-log sets into the DAG
+        a single build over all logs yields.
 
         An edge means "precedes in *every* failed log", so the merged
-        edge set is the intersection of the per-shard edge sets and the
+        edge set is the intersection of the per-slice edge sets and the
         failed-log counts add up; nodes must survive every
-        shard (a shard that discarded a pid proves the global build
+        slice (a slice that discarded a pid proves the global build
         would too, since fewer logs can only *add* edges and therefore
         ancestors).  The ancestors-of-F filter is re-applied at the end.
         The merge is order-insensitive, hence deterministic however the
-        shards were scheduled.
+        slices were scheduled.
         """
         if not dags:
             raise GraphInvariantError("cannot merge zero AC-DAGs")

@@ -19,8 +19,8 @@ every layer:
   the tests).
 * :class:`BitsetCounter` — the popcount counting kernel shared by
   :class:`~repro.core.statistical.StatisticalDebugger`, the corpus
-  :class:`~repro.corpus.matrix.EvalMatrix`, and the shard-parallel
-  pipeline: per-pid observation bitsets over execution columns plus a
+  :class:`~repro.corpus.matrix.EvalMatrix`, and the corpus pipeline:
+  per-pid observation bitsets over execution columns plus a
   failed-column mask turn precision/recall counting into two
   ``int.bit_count`` calls (:func:`popcount_split`).
 * :class:`CorpusSummary` — the **propose** half of two-phase extractor

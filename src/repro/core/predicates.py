@@ -126,9 +126,8 @@ class PredicateDef:
         class and every dataclass field, letting persistent caches detect
         that a same-pid predicate changed meaning.
 
-        Memoized per instance: definitions are frozen dataclasses, and a
-        sharded evaluation asks every shard's matrix for the same table
-        — without the cache the digest walk dominates thin shards.
+        Memoized per instance: definitions are frozen dataclasses, and
+        every matrix that evaluates a suite asks for the same table.
         """
         import dataclasses
 

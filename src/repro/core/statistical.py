@@ -213,22 +213,6 @@ class IncrementalDebugger:
         for pid in pids:
             self.counts.setdefault(pid, [0, 0])[idx] += 1
 
-    def merge(self, other: "IncrementalDebugger") -> "IncrementalDebugger":
-        """Fold another debugger's counters into this one.
-
-        Counters are plain sums, so merging per-shard debuggers (each
-        built over a disjoint slice of the corpus) equals one debugger
-        built over the whole corpus — the reduction step of the
-        shard-parallel analyze.  Returns ``self`` for chaining.
-        """
-        self.n_failed += other.n_failed
-        self.n_success += other.n_success
-        for pid, (in_failed, in_success) in other.counts.items():
-            counters = self.counts.setdefault(pid, [0, 0])
-            counters[0] += in_failed
-            counters[1] += in_success
-        return self
-
     @property
     def n_logs(self) -> int:
         return self.n_failed + self.n_success

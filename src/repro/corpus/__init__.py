@@ -1,40 +1,35 @@
-"""``repro.corpus`` — the persistent, sharded trace-corpus subsystem.
+"""``repro.corpus`` — the persistent trace-corpus subsystem.
 
 Turns the paper's collect-once / analyze-many offline phase (Appendix A)
 into a durable service:
 
 * :mod:`~repro.corpus.store` — a content-addressed, deduplicating
-  on-disk :class:`TraceStore`, sharded by fingerprint prefix
-  (``shards/<hex>/``) with per-shard manifests and transparent in-place
-  migration from the v1 flat layout;
+  on-disk :class:`TraceStore`: one manifest, one ``traces/`` directory,
+  and transparent in-place migration from older layouts;
 * :mod:`~repro.corpus.matrix` — the :class:`EvalMatrix` (one bitset
-  file per shard) behind a :class:`ShardedEvalMatrix`, a predicates ×
-  traces memo guaranteeing each pair is evaluated at most once
-  corpus-wide, with shard-parallel evaluation and compaction (a
-  fully-memoized trace is answered without reading its body);
+  file) behind a :class:`ShardedEvalMatrix`, a predicates × traces memo
+  guaranteeing each pair is evaluated at most once corpus-wide, with
+  compaction (a fully-memoized trace is answered without reading its
+  body);
 * :mod:`~repro.corpus.pipeline` — the :class:`IncrementalPipeline`
   maintaining SD counts, the fully-discriminative set, and the AC-DAG
-  under log insertions, with a shard-parallel ``bootstrap`` fanning out
-  through :mod:`repro.exec` (and a
-  :meth:`~IncrementalPipeline.rebuild` fallback the maintained state is
-  asserted equal to);
+  under log insertions (and a :meth:`~IncrementalPipeline.rebuild`
+  fallback the maintained state is asserted equal to);
 * :mod:`~repro.corpus.session` — :class:`CorpusSession`, an AID session
   that learns through the pipeline's ``bootstrap`` instead of
   re-running the workload, then intervenes live.
 
-CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact|reshard`` and
-``repro debug <workload> --corpus DIR``; ``analyze --jobs N`` runs one
-evaluation task per shard.  See ``docs/corpus.md`` for the workflow and
-the on-disk format spec.
+CLI: ``repro corpus init|ingest|stats|analyze|compact`` and
+``repro debug <workload> --corpus DIR``; ``analyze --jobs N``
+parallelizes discovery's propose phase.  See ``docs/corpus.md`` for the
+workflow and the on-disk format spec.
 """
 
 from .matrix import (
     CompactionStats,
     EvalMatrix,
     ShardedEvalMatrix,
-    ShardEvaluation,
     merge_matrices,
-    split_matrix,
 )
 from .pipeline import BatchIngestResult, IncrementalPipeline, IngestResult
 from .session import CorpusSession
@@ -48,10 +43,8 @@ __all__ = [
     "IncrementalPipeline",
     "BatchIngestResult",
     "IngestResult",
-    "ShardEvaluation",
     "ShardedEvalMatrix",
     "TraceEntry",
     "TraceStore",
     "merge_matrices",
-    "split_matrix",
 ]

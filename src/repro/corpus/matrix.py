@@ -1,5 +1,5 @@
-"""The predicates × traces evaluation matrix — bitset-backed, sharded,
-and persisted.
+"""The predicates × traces evaluation matrix — bitset-backed and
+persisted.
 
 Role
 ----
@@ -28,31 +28,26 @@ Invariants
   predicate's full
   :meth:`~repro.core.predicates.PredicateDef.definition_digest`; a row
   whose definition drifted is dropped and re-evaluated rather than
-  served stale;
-* the shard holding a pair is a pure function of the trace fingerprint
-  (the store's ``shard_id``), so concurrent per-shard evaluation never
-  touches shared state.
+  served stale.
 
 Persistence format
 ------------------
 One :class:`EvalMatrix` serializes to a single JSON file (format
 version 1): column fingerprints + labels, hex-encoded bitsets per pid,
-definition digests, and observation windows.  A v2 corpus keeps **one
-such file per shard** (``shards/<sid>/evalmatrix.json``) behind a
-:class:`ShardedEvalMatrix`, with a top-level index
-(``DIR/evalmatrix.json``, format version 2) listing the shards that
-hold bitset files.  :meth:`ShardedEvalMatrix.save` writes only the
-shards changed since they were loaded (and the index only when its
-shard set changes), so a warm analyze writes nothing.  A truncated or
-malformed file is a :class:`~repro.corpus.store.CorpusError` naming it.
-:func:`migrate_matrix_v1` splits a v1 single-file matrix into per-shard
-files preserving every memoized pair.
+definition digests, and observation windows.  A corpus keeps one such
+file, ``DIR/evalmatrix.json``, behind a :class:`ShardedEvalMatrix`,
+which writes it only when it changed, so a warm analyze writes nothing.
+A truncated or malformed file is a
+:class:`~repro.corpus.store.CorpusError` naming it.
+:func:`merge_matrices` folds the per-bucket matrices of a version-2/-3
+store into one when :meth:`~repro.corpus.store.TraceStore.open`
+migrates it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -62,11 +57,9 @@ from ..core.statistical import IncrementalDebugger, PredicateLog
 from .store import CorpusError, _read_json, _write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
     from .store import TraceStore
 
 MATRIX_VERSION = 1
-MATRIX_INDEX_VERSION = 2
 
 
 def _obs_to_list(obs: Observation) -> list:
@@ -111,18 +104,10 @@ class EvalMatrix:
         self._failed_mask: Optional[int] = None
         #: changed since load (or the last save): a column was
         #: allocated, a pair decided, or a row or column dropped —
-        #: :meth:`ShardedEvalMatrix.save` writes only dirty shards
+        #: :meth:`ShardedEvalMatrix.save` writes only a dirty matrix
         self.dirty = False
         if self.path is not None and self.path.exists():
             self.load(self.path)
-
-    def __getstate__(self) -> dict:
-        # Worker processes hand matrices back by pickle; the digest
-        # cache references the (unpicklable-sized) suite and is cheap to
-        # rebuild, so it stays behind.
-        state = self.__dict__.copy()
-        state["_digest_cache"] = None
-        return state
 
     def _digests_for(self, suite: PredicateSuite) -> dict[str, str]:
         """Per-suite digest table, computed once (the suite is frozen)."""
@@ -315,7 +300,7 @@ class EvalMatrix:
         for pid in dead_rows:
             self._drop_row(pid)
         # Digest entries without a surviving row are dead weight too
-        # (split_matrix copies the full digest table to every shard).
+        # (older per-bucket matrices each carried the full table).
         n_digests = len(self.digests)
         self.digests = {
             pid: digest
@@ -457,29 +442,9 @@ class EvalMatrix:
         self.dirty = False
 
 
-@dataclass
-class ShardEvaluation:
-    """One shard's share of an analysis, in mergeable form.
-
-    Produced by :meth:`ShardedEvalMatrix.evaluate_shards` — possibly in
-    a worker process, in which case the ``matrix`` carries the shard's
-    post-evaluation memo state back to the parent.  No logs travel
-    back: the matrix already holds everything a log contains, and
-    :meth:`ShardedEvalMatrix.reconstruct_log` rebuilds any of them.  A
-    shard contributes evaluations and SD counters only: the AC-DAG is
-    one relation over all failed logs, built once by the pipeline after
-    the counters merge.
-    """
-
-    shard_id: str
-    matrix: EvalMatrix
-    #: per-shard SD counters, merged deterministically by the pipeline
-    counters: IncrementalDebugger = field(default_factory=IncrementalDebugger)
-
-
 @dataclass(frozen=True)
 class CompactionStats:
-    """What ``compact`` reclaimed, summed over shards."""
+    """What ``compact`` reclaimed."""
 
     dropped_rows: int
     dropped_columns: int
@@ -492,189 +457,60 @@ class CompactionStats:
 
 
 class ShardedEvalMatrix:
-    """The corpus-wide evaluation memo: one :class:`EvalMatrix` per shard.
+    """The corpus-wide evaluation memo: one :class:`EvalMatrix` stored
+    at ``DIR/evalmatrix.json``, evaluated in the calling process.
 
-    Routing is by trace fingerprint — the shard holding a pair is
-    ``store.shard_id(fingerprint)`` — so every memo lookup touches
-    exactly one shard file, and shards can be evaluated in parallel
-    without sharing state.  Shard matrices load lazily; ``save`` writes
-    each loaded shard next to its traces plus a top-level index
-    (``DIR/evalmatrix.json``, format version 2) naming every shard that
-    holds a bitset file.
+    The name dates from when the store kept one matrix per
+    fingerprint-prefix bucket; :meth:`evaluate_shards` and
+    :meth:`evaluate_fingerprints` are the two batch entry points.
     """
 
     def __init__(self, store: "TraceStore") -> None:
         self.store = store
-        self._shards: dict[str, EvalMatrix] = {}
-
-    # -- routing ---------------------------------------------------------
-
-    def shard(self, shard_id: str) -> EvalMatrix:
-        """The per-shard matrix, loading its file on first touch."""
-        matrix = self._shards.get(shard_id)
-        if matrix is None:
-            matrix = EvalMatrix(self.store.shard_matrix_path(shard_id))
-            self._shards[shard_id] = matrix
-        return matrix
-
-    def shard_for(self, fingerprint: str) -> EvalMatrix:
-        return self.shard(self.store.shard_id(fingerprint))
-
-    def load_all(self) -> None:
-        """Load every shard matrix the index (or the store) knows of."""
-        for sid in self.persisted_shard_ids():
-            self.shard(sid)
-
-    def persisted_shard_ids(self, index: Optional[dict] = None) -> list[str]:
-        """Shards with a bitset file on disk, per the top-level index
-        (falling back to probing the store's populated shards).
-
-        Index entries whose shard id does not fit the store's current
-        width are skipped: they are leftovers of an interrupted
-        ``reshard`` (the other layout's ids), and counting both layouts
-        would double every memoized pair.  ``index`` is the top-level
-        index payload when the caller has already read it."""
-        if index is None:
-            index = self._read_index()
-        sids: set[str] = set()
-        if index.get("version") == MATRIX_INDEX_VERSION:
-            sids.update(
-                sid
-                for sid in index.get("shards", [])
-                if self.store.is_valid_shard_id(sid)
-            )
-        for sid in self.store.shard_ids:
-            if self.store.shard_matrix_path(sid).exists():
-                sids.add(sid)
-        return sorted(sids)
-
-    def _read_index(self) -> dict:
-        """The top-level index as stored (``{}`` when absent)."""
-        path = self.store.matrix_index_path
-        return _read_json(path) if path.exists() else {}
+        self.matrix = EvalMatrix(store.matrix_path)
 
     # -- the memoized evaluation loop ------------------------------------
 
     def log_for(self, suite: PredicateSuite, trace) -> PredicateLog:
-        """Evaluate the suite on one trace, through its shard's memo."""
-        fp = getattr(trace, "fingerprint", None)
-        if fp is None:
-            raise ValueError(
-                "trace has no fingerprint; corpus evaluation is memoized "
-                "by content address"
-            )
-        return self.shard_for(fp).log_for(suite, trace)
+        """Evaluate the suite on one trace, through the memo."""
+        return self.matrix.log_for(suite, trace)
 
     def evaluate_shards(
-        self,
-        suite: PredicateSuite,
-        traces: Sequence,
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> list[ShardEvaluation]:
-        """Evaluate the suite over many traces, one task per shard.
+        self, suite: PredicateSuite, traces: Sequence
+    ) -> IncrementalDebugger:
+        """Evaluate the suite over in-memory traces (each carrying its
+        ``fingerprint``) and return the SD counters over them.
 
-        With an :class:`~repro.exec.engine.ExecutionEngine` whose backend
-        has more than one job, shards fan out across the backend (thread
-        or forked process workers); each worker mutates only its own
-        shard matrix, and the returned matrices replace the parent's
-        copies, so process isolation is transparent.  Results come back
-        in sorted shard order regardless of completion order, and every
-        per-trace evaluation is independent — the outcome is
-        bit-identical for any job count.
-
-        Each task evaluates and counts; it builds no AC-DAG (that is one
-        global build after the counters merge, see
-        :mod:`repro.corpus.pipeline`).  Per-trace logs stay in the
-        worker — the matrix carries the same information, and
-        :meth:`reconstruct_log` rebuilds any log from it for free.
-        """
-        groups: dict[str, list[tuple]] = {}
+        Per-trace logs are not returned: the matrix holds every
+        observation, and :meth:`reconstruct_log` rebuilds any log from
+        it for free."""
         for trace in traces:
-            fp = getattr(trace, "fingerprint", None)
-            if fp is None:
-                raise ValueError(
-                    "trace has no fingerprint; corpus evaluation is "
-                    "memoized by content address"
-                )
-            signature = (
-                trace.failure.signature if trace.failure is not None else None
-            )
-            groups.setdefault(self.store.shard_id(fp), []).append(
-                (fp, trace.failed, trace.seed, signature, lambda t=trace: t)
-            )
-        return self._evaluate_groups(suite, groups, engine)
+            self.matrix.log_for(suite, trace)
+        return self.matrix.sd_counters(
+            suite, [trace.fingerprint for trace in traces]
+        )
 
     def evaluate_fingerprints(
-        self,
-        suite: PredicateSuite,
-        fingerprints: Sequence[str],
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> list[ShardEvaluation]:
+        self, suite: PredicateSuite, fingerprints: Sequence[str]
+    ) -> IncrementalDebugger:
         """Like :meth:`evaluate_shards`, but for stored traces named by
         fingerprint.  The manifest supplies each trace's facts, and a
-        shard task loads a trace body only when some pair of it is
-        still undecided — so deserialization parallelizes along with
-        evaluation, and a fully-memoized (warm) analyze reads no trace
+        trace body is loaded only when some pair of it is still
+        undecided — so a fully-memoized (warm) analyze reads no trace
         bodies at all.  This is the path a pre-frozen suite takes (no
-        global discovery pass needs the traces in the parent)."""
+        discovery pass needs the traces in memory)."""
         store = self.store
-        groups: dict[str, list[tuple]] = {}
         for fp in fingerprints:
             entry = store.entries[fp]
-            groups.setdefault(store.shard_id(fp), []).append(
-                (
-                    fp,
-                    entry.failed,
-                    entry.seed,
-                    entry.signature,
-                    lambda fp=fp: store.load(fp),
-                )
+            self.matrix.log_for_entry(
+                suite,
+                fp,
+                entry.failed,
+                entry.seed,
+                entry.signature,
+                load=lambda fp=fp: store.load(fp),
             )
-        return self._evaluate_groups(suite, groups, engine)
-
-    def _evaluate_groups(
-        self,
-        suite: PredicateSuite,
-        groups: dict[str, list[tuple]],
-        engine: Optional["ExecutionEngine"],
-    ) -> list[ShardEvaluation]:
-        """Run one task per shard over ``groups``: shard id -> list of
-        ``(fingerprint, failed, seed, signature, load)`` items, each fed
-        to :meth:`EvalMatrix.log_for_entry`."""
-        sids = sorted(groups)
-        for sid in sids:
-            self.shard(sid)  # load before dispatch (workers only read files)
-        shards = self._shards
-
-        def evaluate_shard(sid: str) -> ShardEvaluation:
-            evaluation = ShardEvaluation(shard_id=sid, matrix=shards[sid])
-            fingerprints: list[str] = []
-            for fp, failed, seed, signature, load in groups[sid]:
-                evaluation.matrix.log_for_entry(
-                    suite, fp, failed, seed, signature, load
-                )
-                fingerprints.append(fp)
-            # SD counters by popcount over the group's freshly-decided
-            # columns — the same counting kernel every layer shares —
-            # instead of a per-log observation walk.
-            evaluation.counters = evaluation.matrix.sd_counters(
-                suite, fingerprints
-            )
-            return evaluation
-
-        parallel = (
-            engine is not None
-            and engine.backend.jobs > 1
-            and len(sids) > 1
-        )
-        if parallel:
-            results = engine.dispatch(evaluate_shard, sids)
-        else:
-            results = [evaluate_shard(sid) for sid in sids]
-        for evaluation in results:
-            # A process backend hands back a mutated copy; adopt it.
-            self._shards[evaluation.shard_id] = evaluation.matrix
-        return sorted(results, key=lambda ev: ev.shard_id)
+        return self.matrix.sd_counters(suite, fingerprints)
 
     def reconstruct_log(
         self,
@@ -688,157 +524,75 @@ class ShardedEvalMatrix:
         from the bitsets — no trace load, no evaluation, no counter
         churn.  Only valid once every (suite pid, trace) pair is decided
         (i.e. after the trace went through :meth:`log_for`)."""
-        return self.shard_for(fingerprint).reconstruct_log(
+        return self.matrix.reconstruct_log(
             suite, fingerprint, failed, seed, signature
         )
 
-    # -- aggregate analytics ---------------------------------------------
+    # -- memo counters ---------------------------------------------------
 
     @property
     def pair_evaluations(self) -> int:
         """Fresh evaluations performed through this instance."""
-        return sum(m.pair_evaluations for m in self._shards.values())
+        return self.matrix.pair_evaluations
 
     @property
     def pair_hits(self) -> int:
         """Memo hits answered through this instance."""
-        return sum(m.pair_hits for m in self._shards.values())
+        return self.matrix.pair_hits
 
     @property
     def kernel_calls(self) -> int:
         """Single-pass kernel batches behind the fresh evaluations."""
-        return sum(m.kernel_calls for m in self._shards.values())
-
-    @property
-    def n_pairs(self) -> int:
-        self.load_all()
-        return sum(m.n_pairs for m in self._shards.values())
-
-    @property
-    def n_pids(self) -> int:
-        self.load_all()
-        pids: set[str] = set()
-        for m in self._shards.values():
-            pids.update(m.evaluated)
-        return len(pids)
-
-    @property
-    def n_traces(self) -> int:
-        self.load_all()
-        return sum(len(m.traces) for m in self._shards.values())
-
-    def coverage(self) -> float:
-        """Fraction of the full (pids × traces) matrix already decided."""
-        total = self.n_traces * self.n_pids
-        return self.n_pairs / total if total else 0.0
-
-    def counts(self, pid: str) -> tuple[int, int]:
-        """(true_in_failed, true_in_success) summed over all shards."""
-        self.load_all()
-        in_failed = in_success = 0
-        for m in self._shards.values():
-            f, s = m.counts(pid)
-            in_failed += f
-            in_success += s
-        return in_failed, in_success
+        return self.matrix.kernel_calls
 
     # -- persistence -----------------------------------------------------
 
     def save(self) -> None:
-        """Write every loaded shard matrix that changed since it was
-        loaded, plus the top-level index (the union of previously-indexed
-        and loaded shards) when that set changed.  A loaded shard whose
-        every column was reclaimed loses its file and its index entry —
-        evicted traces must not resurrect."""
-        stored = self._read_index()
-        saved = set(self.persisted_shard_ids(stored))
-        for sid, matrix in sorted(self._shards.items()):
-            if matrix.traces:
-                if matrix.dirty:
-                    matrix.save()
-                saved.add(sid)
-            else:
-                self.store.shard_matrix_path(sid).unlink(missing_ok=True)
-                saved.discard(sid)
-        index = {"version": MATRIX_INDEX_VERSION, "shards": sorted(saved)}
-        if stored != index:
-            _write_json(self.store.matrix_index_path, index, indent=None)
+        """Write the matrix if it changed since it was loaded.  A matrix
+        whose every column was reclaimed loses its file — evicted traces
+        must not resurrect."""
+        if not self.matrix.traces:
+            self.store.matrix_path.unlink(missing_ok=True)
+        elif self.matrix.dirty:
+            self.matrix.save()
 
     # -- compaction ------------------------------------------------------
 
     def compact(self, keep_digests: Mapping[str, str]) -> CompactionStats:
-        """Reclaim shadowed rows and evicted columns, shard by shard.
+        """Reclaim shadowed rows and evicted columns.
 
         ``keep_digests`` maps each live pid to its current definition
         digest (from the frozen suite); live columns are the store's
-        manifest entries.  Per-shard files are rewritten in place and
-        the index refreshed, and leftover per-shard side files of an
-        earlier layout are deleted
-        (:meth:`~repro.corpus.store.TraceStore.remove_leftover_files`);
-        returns byte-level before/after totals.
+        manifest entries.  The matrix file is rewritten in place;
+        returns its byte size before and after.
         """
-        self.load_all()
-        rows = cols = after = 0
-        before = self.store.remove_leftover_files()
-        for sid in sorted(self._shards):
-            matrix = self._shards[sid]
-            path = self.store.shard_matrix_path(sid)
-            if path.exists():
-                before += path.stat().st_size
-            r, c = matrix.compact(
-                set(self.store.shard_entries(sid)), keep_digests
-            )
-            rows += r
-            cols += c
+        path = self.store.matrix_path
+        before = path.stat().st_size if path.exists() else 0
+        rows, cols = self.matrix.compact(set(self.store.entries), keep_digests)
         self.save()
-        for sid in sorted(self._shards):
-            path = self.store.shard_matrix_path(sid)
-            if path.exists():
-                after += path.stat().st_size
         return CompactionStats(
             dropped_rows=rows,
             dropped_columns=cols,
             bytes_before=before,
-            bytes_after=after,
+            bytes_after=path.stat().st_size if path.exists() else 0,
         )
 
 
-# -- resharding and migration helpers ------------------------------------
-
-
-def split_matrix(
-    matrix: EvalMatrix, shard_id: Callable[[str], str]
-) -> dict[str, EvalMatrix]:
-    """Split one matrix into per-shard matrices, preserving every
-    memoized pair (columns keep their relative order)."""
-    shards: dict[str, EvalMatrix] = {}
-    columns: dict[str, tuple[EvalMatrix, int]] = {}
-    for idx, fp in enumerate(matrix.traces):
-        shard = shards.setdefault(shard_id(fp), EvalMatrix())
-        columns[fp] = (shard, shard.column(fp, matrix.labels[idx]))
-    for source, target in (("evaluated", "evaluated"), ("observed", "observed")):
-        for pid, bits in getattr(matrix, source).items():
-            for idx, fp in enumerate(matrix.traces):
-                if bits >> idx & 1:
-                    shard, col = columns[fp]
-                    bitsets = getattr(shard, target)
-                    bitsets[pid] = bitsets.get(pid, 0) | 1 << col
-    for shard in shards.values():
-        shard.digests = dict(matrix.digests)
-    for fp, row in matrix.observations.items():
-        shard, _ = columns[fp]
-        shard.observations[fp] = {pid: list(obs) for pid, obs in row.items()}
-    return shards
-
-
 def merge_matrices(matrices: Iterable[EvalMatrix]) -> EvalMatrix:
-    """The inverse of :func:`split_matrix`: fold per-shard matrices into
-    one (columns concatenated in the given order)."""
+    """Fold matrices over disjoint traces into one (columns concatenated
+    in the given order), keeping every memoized pair.
+
+    A pid whose row was decided under different definition digests in
+    different inputs (a bucket no analysis touched since its predicate
+    drifted) is dropped, to be evaluated afresh rather than served
+    stale."""
     merged = EvalMatrix()
+    drifted: set[str] = set()
     for matrix in matrices:
-        offset: dict[int, int] = {}
-        for idx, fp in enumerate(matrix.traces):
-            offset[idx] = merged.column(fp, matrix.labels[idx])
+        offset = {
+            idx: merged.column(fp, failed)
+            for idx, (fp, failed) in enumerate(zip(matrix.traces, matrix.labels))
+        }
         for source in ("evaluated", "observed"):
             merged_bits = getattr(merged, source)
             for pid, bits in getattr(matrix, source).items():
@@ -847,31 +601,14 @@ def merge_matrices(matrices: Iterable[EvalMatrix]) -> EvalMatrix:
                     if bits >> idx & 1:
                         packed |= 1 << col
                 merged_bits[pid] = packed
-        merged.digests.update(matrix.digests)
+        for pid in matrix.evaluated:
+            digest = matrix.digests.get(pid)
+            if merged.digests.setdefault(pid, digest) != digest:
+                drifted.add(pid)
         for fp, row in matrix.observations.items():
             merged.observations[fp] = {
                 pid: list(obs) for pid, obs in row.items()
             }
+    for pid in drifted:
+        merged._drop_row(pid)
     return merged
-
-
-def migrate_matrix_v1(
-    path: Path,
-    shard_id: Callable[[str], str],
-    shard_path: Callable[[str], Path],
-) -> None:
-    """Split a v1 single-file matrix into per-shard files plus the v2
-    index at ``path``.  Skips silently if ``path`` already holds a v2
-    index (a resumed migration)."""
-    if _read_json(path).get("version") == MATRIX_INDEX_VERSION:
-        return
-    matrix = EvalMatrix()
-    matrix.load(path)
-    shards = split_matrix(matrix, shard_id)
-    for sid, shard in sorted(shards.items()):
-        shard.save(shard_path(sid))
-    _write_json(
-        path,
-        {"version": MATRIX_INDEX_VERSION, "shards": sorted(shards)},
-        indent=None,
-    )

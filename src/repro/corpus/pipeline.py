@@ -1,4 +1,4 @@
-"""Incremental, shard-parallel analysis over a trace corpus.
+"""Incremental analysis over a trace corpus.
 
 Role
 ----
@@ -10,7 +10,7 @@ logs, and log insertion patches them instead of recomputing.
 Lifecycle::
 
     pipeline = IncrementalPipeline(store, program=workload.program)
-    pipeline.bootstrap(engine=...)  # freeze suite; evaluate shard-parallel
+    pipeline.bootstrap(engine=...)  # freeze suite; evaluate; build views
     pipeline.ingest_batch(traces)   # store + patch counts, FD set, AC-DAG
     pipeline.ingest(new_trace)      # the same, as a one-trace batch
     pipeline.rebuild()              # the from-scratch fallback (tests assert
@@ -21,34 +21,24 @@ corpus analyze`` runs it alone, and
 :class:`~repro.corpus.session.CorpusSession` (``repro debug --corpus``)
 runs it before its live interventions.
 
-Shard-parallel analyze
-----------------------
-``bootstrap`` accepts an :class:`~repro.exec.engine.ExecutionEngine`:
-predicate evaluation fans out one task per corpus shard across the
-engine's backend (thread or forked process workers), each task working
-its own shard of the :class:`~repro.corpus.matrix.ShardedEvalMatrix`.
-The reduction is deterministic whatever the schedule:
-
-* per-shard **SD counters** (:class:`IncrementalDebugger`) merge by
-  plain summation, in sorted shard order;
-* **logs** reassemble into the canonical corpus order (successes then
-  failures, fingerprint-sorted) — identical to a serial walk.
-
-Shard tasks only evaluate and count.  The **AC-DAG** is one relation
-over all failed logs (an edge is "precedes in *every* failed log"), so
-it is built once, after the counter merge has fixed the global failure
-predicate and FD set, over the failed logs rebuilt from the matrix
-bitsets — splitting it per shard would buy nothing.
+Bootstrap
+---------
+Discovery's *propose* half (per-trace summarization, see
+:mod:`repro.core.evalkernel`) fans out across the optional
+:class:`~repro.exec.engine.ExecutionEngine`; its merged summary, and so
+the frozen suite, is identical for any job count.  Evaluation then runs
+in this process through the one eval matrix
+(:class:`~repro.corpus.matrix.ShardedEvalMatrix`), which returns the SD
+counters by popcount.  The **AC-DAG** is one relation over all failed
+logs (an edge is "precedes in *every* failed log"), built once over the
+failed logs rebuilt from the matrix bitsets in canonical corpus order
+(successes then failures, fingerprint-sorted).
 
 Invariants
 ----------
 * the predicate suite is frozen at bootstrap — extractors calibrate once
-  over the then-current corpus, globally (never per shard: thresholds
-  such as duration envelopes depend on the whole corpus, and the frozen
-  suite must not depend on the shard layout).  Only the *propose* half
-  of discovery (per-trace summarization, see
-  :mod:`repro.core.evalkernel`) fans out across the engine, and its
-  merged summary is identical for any job count;
+  over the then-current corpus (thresholds such as duration envelopes
+  depend on the whole corpus);
 * the analysis state after ``bootstrap(engine=N-jobs)`` is bit-identical
   to ``bootstrap()`` serial — tests assert report equality for 1 vs 8
   jobs;
@@ -60,10 +50,9 @@ Invariants
 
 Persistence: a bootstrap that discovers the suite with the default
 extractors persists it (``suite.json``, keyed by corpus content);
-``save`` writes the store manifests and the per-shard matrix files that
-changed (plus the index when its shard set changed).  Nothing else is
-persisted — the DAG and counters rebuild from the matrix for free on
-the next bootstrap.
+``save`` writes the store manifest and the eval matrix when they
+changed.  Nothing else is persisted — the DAG and counters rebuild from
+the matrix for free on the next bootstrap.
 """
 
 from __future__ import annotations
@@ -147,7 +136,8 @@ class IncrementalPipeline:
         #: results
         self.bus = bus
         # frozen at bootstrap (or injected pre-frozen: extractor
-        # discovery is skipped and shard tasks load their own traces,
+        # discovery is skipped and evaluation loads only the traces it
+        # needs,
         # the steady-state freeze-once / re-analyze-many regime).  Only
         # an *injected* suite survives re-bootstrap: a suite frozen by a
         # previous bootstrap() is re-discovered, because its envelopes
@@ -181,10 +171,10 @@ class IncrementalPipeline:
     def logs(self) -> list[PredicateLog]:
         """The analysis logs, in canonical corpus order.
 
-        Shard tasks do not ship logs back to the parent (the matrix
-        already holds every observation); the list materializes from
-        the bitsets on first access and is then owned by the pipeline
-        (``ingest`` appends to it).
+        Evaluation returns no logs (the matrix already holds every
+        observation); the list materializes from the bitsets on first
+        access and is then owned by the pipeline (``ingest`` appends to
+        it).
         """
         if self._logs is None:
             entries = self.store.entries
@@ -206,11 +196,11 @@ class IncrementalPipeline:
         """Freeze the predicate suite over the current corpus and build
         every maintained view.
 
-        All evaluation goes through the sharded matrix, so a warm
-        restart performs zero fresh evaluations; with an ``engine``,
-        evaluation fans out one task per shard and the counters merge
-        deterministically (identical state for any job count).  The
-        AC-DAG is then built once, over every on-signature failed log.
+        All evaluation goes through the eval matrix, so a warm restart
+        performs zero fresh evaluations; an ``engine`` parallelizes
+        discovery's propose phase (identical state for any job count).
+        The AC-DAG is then built once, over every on-signature failed
+        log.
         """
         from ..api.events import (
             CollectionFinished,
@@ -296,23 +286,18 @@ class IncrementalPipeline:
         with self._span("evaluate"):
             if corpus is not None:
                 # Discovery already loaded every body: evaluate those.
-                evaluations = self.matrix.evaluate_shards(
-                    self.suite,
-                    corpus.successes + corpus.failures,
-                    engine=engine,
+                counters = self.matrix.evaluate_shards(
+                    self.suite, corpus.successes + corpus.failures
                 )
             else:
-                # Pre-frozen suite: nothing global needs the trace
-                # bodies, so shard tasks load their own traces, and only
-                # those with an undecided pair — deserialization
-                # parallelizes along with evaluation, and a warm analyze
-                # reads none.
-                evaluations = self.matrix.evaluate_fingerprints(
-                    self.suite, fingerprints, engine=engine
+                # Pre-frozen suite: nothing needs the trace bodies, so
+                # only those with an undecided pair are loaded, and a
+                # warm analyze reads none.
+                counters = self.matrix.evaluate_fingerprints(
+                    self.suite, fingerprints
                 )
-        # Logs stay in the workers; the canonical-order list (successes
-        # then failures, fingerprint-sorted — independent of how shards
-        # were scheduled) materializes lazily from the matrix bitsets.
+        # The canonical-order log list (successes then failures,
+        # fingerprint-sorted) materializes lazily from the bitsets.
         self._log_fps = fingerprints
         self._logs = None
         self._emit(
@@ -324,9 +309,7 @@ class IncrementalPipeline:
             )
         )
         with self._span("dag-build"):
-            self.debugger = IncrementalDebugger()
-            for evaluation in evaluations:  # sorted shard order
-                self.debugger.merge(evaluation.counters)
+            self.debugger = counters
             failure_pids = [
                 pid
                 for pid in self.suite.failure_pids()
@@ -397,8 +380,8 @@ class IncrementalPipeline:
         first, the fully-discriminative set is re-derived once, each
         failed log patches the AC-DAG in submission order, and one final
         restriction drops whatever left the FD set.  With ``save=True``
-        the store manifests and matrix shards are written once at the
-        end — one fsync per wave instead of per trace.
+        the store manifest and the eval matrix are saved once for the
+        whole wave, not once per trace.
 
         The final pipeline state is byte-identical to calling
         :meth:`ingest` per trace in the same order (asserted in tests);
@@ -541,6 +524,6 @@ class IncrementalPipeline:
     # -- persistence -----------------------------------------------------
 
     def save(self) -> None:
-        """Persist the store manifests and the sharded evaluation matrix."""
+        """Persist the store manifest and the eval matrix."""
         self.store.save()
         self.matrix.save()

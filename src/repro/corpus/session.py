@@ -18,18 +18,16 @@ Invariants
   pairs, reuses the persisted predicate suite, and reads no trace
   bodies: failing seeds and log counts come from the manifest;
 * when the session's :class:`~repro.harness.session.SessionConfig`
-  carries an execution engine with more than one job, evaluation fans
-  out one task per corpus shard across that engine's backend, with
-  results identical to the serial walk (see
-  :meth:`ShardedEvalMatrix.evaluate_shards
-  <repro.corpus.matrix.ShardedEvalMatrix.evaluate_shards>`);
+  carries an execution engine with more than one job, discovery's
+  propose phase fans out across that engine's backend, with results
+  identical to the serial walk;
 * intervention outcomes are memoized under a corpus-content key, so two
   sessions over the same stored traces share outcomes no matter how
   the corpus was assembled.
 
-Persistence: ``save`` writes the store manifests and the per-shard
-matrix files that changed (plus the top-level matrix index); the
-bootstrap itself persists a freshly discovered suite.
+Persistence: ``save`` writes the store manifest and the eval matrix
+when they changed; the bootstrap itself persists a freshly discovered
+suite.
 """
 
 from __future__ import annotations
@@ -118,5 +116,5 @@ class CorpusSession(AIDSession):
         return key
 
     def save(self) -> None:
-        """Persist the store manifests and the sharded evaluation matrix."""
+        """Persist the store manifest and the eval matrix."""
         self.pipeline.save()

@@ -1,4 +1,4 @@
-"""The content-addressed, on-disk trace store — sharded by fingerprint.
+"""The content-addressed, on-disk trace store.
 
 Role
 ----
@@ -6,59 +6,44 @@ The paper's offline phase (Appendix A) assumes a corpus of labeled
 execution logs collected once and re-analyzed many times.  This module
 is that corpus made durable: each trace is serialized via
 :mod:`repro.sim.serialize` and stored under its content fingerprint, so
-ingesting the same execution twice stores it once, and manifests record
-labels, seeds, and failure signatures so analyses can plan without
-touching trace bodies.
+ingesting the same execution twice stores it once, and the manifest
+records labels, seeds, and failure signatures so analyses can plan
+without touching trace bodies.
 
-Persistence format (v3, sharded)
---------------------------------
-Traces are bucketed by a hex prefix of their fingerprint (the *shard
-id*), so no directory and no JSON file ever has to hold the whole
-corpus, and shards are the unit of parallel analysis::
+Persistence format (v4)
+-----------------------
+::
 
     DIR/
-      manifest.json                 top-level index: version, program,
-                                    shard_width, populated shard ids
-      evalmatrix.json               eval-matrix index (written by
-                                    repro.corpus.matrix: version + the
-                                    shards holding bitset files)
-      shards/<sid>/
-        manifest.json               label/seed/signature per fingerprint
-        traces/<fp>.json            one serialized trace each
-        evalmatrix.json             this shard's predicate-evaluation
-                                    memo (v1 single-matrix format)
-
-``shard_width`` is the number of hex characters of the fingerprint used
-as the shard id (default 2 → up to 256 shards); width 0 disables
-sharding (a single ``shards/all/`` bucket).  The width is fixed at
-``init`` and recorded in the top-level manifest.
+      manifest.json          version, program, and one row per trace
+                             (label, seed, failure signature, schedule)
+      traces/<fp>.json       one serialized trace each
+      evalmatrix.json        the predicate-evaluation memo (written by
+                             repro.corpus.matrix)
+      suite.json             the frozen predicate suite, keyed by the
+                             corpus content
 
 Invariants
 ----------
-* a fingerprint appears in at most one shard, and always in the shard
-  its prefix names;
-* the top-level manifest's shard list equals the set of non-empty
-  shards, so ``open`` never scans the filesystem;
-* ``save`` rewrites only shards dirtied since the last save (plus the
-  top-level manifest), each atomically (temp file + rename).
+* every manifest row has its body at ``traces/<fp>.json``, so ``open``
+  reads one file and never scans the filesystem;
+* every file is written atomically (temp file + rename), and ``save``
+  rewrites the manifest only when a row changed.
 
 Migration
 ---------
-Version-1 corpora (flat ``traces/`` + one ``manifest.json`` + one
-``evalmatrix.json``) are migrated **in place and transparently** on
-:meth:`TraceStore.open`: trace bodies are renamed into their shards, the
-manifest is split, and the single eval matrix is split into per-shard
-bitset files — preserving every memoized (predicate, trace) pair, so the
-first post-migration analysis performs zero re-evaluations.  The
-migration is idempotent: a crash mid-way leaves a state a later ``open``
-finishes from.
-
-Version-2 corpora share the v3 layout, so the v2→v3 migration is just
-the manifest version bump (the commit point).  Some v3 corpora also
-carry a derived per-shard side file an earlier release wrote
-(:data:`LEFTOVER_SHARD_FILE`); nothing reads it, and
-:meth:`TraceStore.remove_leftover_files` (run by ``repro corpus
-compact``) deletes it.
+:meth:`TraceStore.open` brings a version-1, -2 or -3 store to v4 in
+place with one migration (:func:`_migrate`).  Version 1 is already
+flat, so only its manifest is rewritten.  Versions 2 and 3 kept traces
+in fingerprint-prefix buckets (``shards/<sid>/``, each with its own
+manifest and eval matrix): their bodies move to ``traces/``, their
+manifests fold into one, and their matrices fold into one
+``evalmatrix.json`` through
+:func:`~repro.corpus.matrix.merge_matrices`, which keeps every memoized
+(predicate, trace) pair, so the first analysis afterwards evaluates
+nothing afresh.  The v4 manifest write is the commit point and
+``shards/`` is removed after it; every earlier step can be repeated, so
+a re-open after a crash at any step resumes the migration.
 """
 
 from __future__ import annotations
@@ -67,6 +52,7 @@ import dataclasses
 import json
 import os
 import secrets
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -86,17 +72,12 @@ MANIFEST_NAME = "manifest.json"
 MATRIX_NAME = "evalmatrix.json"
 SUITE_NAME = "suite.json"
 TRACES_DIR = "traces"
+#: where version-2 and -3 stores kept their fingerprint-prefix buckets
 SHARDS_DIR = "shards"
-STORE_VERSION = 3
+STORE_VERSION = 4
 SUITE_FILE_VERSION = 1
 #: version of the ``repro corpus stats --json`` payload
-STATS_SCHEMA_VERSION = 1
-DEFAULT_SHARD_WIDTH = 2
-#: shard id used when sharding is disabled (width 0)
-SINGLE_SHARD_ID = "all"
-#: per-shard columnar trace table an earlier v3 release derived from the
-#: trace bodies; ignored on read, deleted by ``repro corpus compact``
-LEFTOVER_SHARD_FILE = "columnar.bin"
+STATS_SCHEMA_VERSION = 2
 
 
 class CorpusError(RuntimeError):
@@ -177,41 +158,33 @@ def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
 
 
 class TraceStore:
-    """A persistent, deduplicating, sharded corpus of execution traces."""
+    """A persistent, deduplicating corpus of execution traces."""
 
     def __init__(
         self,
         root: str | os.PathLike,
         program: Optional[str] = None,
-        shard_width: int = DEFAULT_SHARD_WIDTH,
         entries: Optional[dict[str, TraceEntry]] = None,
     ) -> None:
         self.root = Path(root)
         self._program = program
-        self.shard_width = shard_width
         self.entries: dict[str, TraceEntry] = dict(entries or {})
-        #: shard ids whose manifest must be rewritten on the next save
-        self._dirty: set[str] = set()
+        #: a manifest row changed since open (or the last save)
+        self._dirty = False
 
     # -- lifecycle -------------------------------------------------------
 
     @classmethod
     def init(
-        cls,
-        root: str | os.PathLike,
-        program: Optional[str] = None,
-        shard_width: int = DEFAULT_SHARD_WIDTH,
+        cls, root: str | os.PathLike, program: Optional[str] = None
     ) -> "TraceStore":
         """Create a fresh corpus directory (refuses to clobber one)."""
         root = Path(root)
         if (root / MANIFEST_NAME).exists():
             raise CorpusError(f"{root} already holds a corpus")
-        if not 0 <= shard_width <= 4:
-            raise CorpusError(
-                f"shard_width must be between 0 and 4, got {shard_width}"
-            )
-        (root / SHARDS_DIR).mkdir(parents=True, exist_ok=True)
-        store = cls(root, program=program, shard_width=shard_width)
+        (root / TRACES_DIR).mkdir(parents=True, exist_ok=True)
+        store = cls(root, program=program)
+        store._dirty = True
         store.save()
         return store
 
@@ -223,55 +196,40 @@ class TraceStore:
             raise CorpusError(f"{root} is not a corpus (no {MANIFEST_NAME})")
         manifest = _read_json(path)
         version = manifest.get("version")
-        if version == 1:
-            manifest = _migrate_v1(root, manifest)
-        elif version == 2:
-            manifest = _migrate_v2(root, manifest)
+        if version in (1, 2, 3):
+            manifest = _migrate(root, manifest)
         elif version != STORE_VERSION:
             raise CorpusError(
                 f"unsupported corpus version {version!r} in {path}"
             )
-        shard_width = manifest.get("shard_width", DEFAULT_SHARD_WIDTH)
-        entries: dict[str, TraceEntry] = {}
-        for sid in manifest.get("shards", []):
-            shard_manifest = root / SHARDS_DIR / sid / MANIFEST_NAME
-            if not shard_manifest.exists():
-                raise CorpusError(
-                    f"top-level manifest lists shard {sid!r} but "
-                    f"{shard_manifest} is gone"
-                )
-            raw = _read_json(shard_manifest)
-            for fp, row in raw.get("traces", {}).items():
-                entries[fp] = TraceEntry.from_dict(fp, row)
+        # Left behind only by a migration interrupted after its commit.
+        if (root / SHARDS_DIR).exists():
+            shutil.rmtree(root / SHARDS_DIR)
         return cls(
             root,
             program=manifest.get("program"),
-            shard_width=shard_width,
-            entries=entries,
+            entries={
+                fp: TraceEntry.from_dict(fp, row)
+                for fp, row in sorted(manifest.get("traces", {}).items())
+            },
         )
 
     def save(self) -> None:
-        """Write dirty shard manifests plus the top-level index, each
-        atomically (temp file + rename)."""
-        by_shard: dict[str, dict[str, TraceEntry]] = {}
-        for fp, entry in self.entries.items():
-            by_shard.setdefault(self.shard_id(fp), {})[fp] = entry
-        for sid in sorted(self._dirty):
-            rows = by_shard.get(sid, {})
-            _write_json(
-                self.shard_dir(sid) / MANIFEST_NAME,
-                {"traces": {fp: e.to_dict() for fp, e in sorted(rows.items())}},
-            )
+        """Write the manifest atomically (temp file + rename) when a row
+        changed since open or the last save."""
+        if not self._dirty:
+            return
         _write_json(
             self.root / MANIFEST_NAME,
             {
                 "version": STORE_VERSION,
                 "program": self._program,
-                "shard_width": self.shard_width,
-                "shards": sorted(by_shard),
+                "traces": {
+                    fp: e.to_dict() for fp, e in self.entries.items()
+                },
             },
         )
-        self._dirty.clear()
+        self._dirty = False
 
     # -- identity and layout ---------------------------------------------
 
@@ -281,61 +239,13 @@ class TraceStore:
         init or by the first ingested trace)."""
         return self._program
 
-    def shard_id(self, fingerprint: str) -> str:
-        """The shard a fingerprint belongs to (its hex prefix)."""
-        if self.shard_width == 0:
-            return SINGLE_SHARD_ID
-        return fingerprint[: self.shard_width]
-
-    def is_valid_shard_id(self, shard_id: str) -> bool:
-        """Whether ``shard_id`` can be produced by this store's width.
-
-        Shard ids of a *different* width (seen mid-``reshard`` crash:
-        stale directories or index entries from the other layout) must
-        be ignored, never double-counted.  For a sharded store the id
-        must be a hex fingerprint prefix of exactly the right length —
-        the length check alone would let the width-0 sentinel ``"all"``
-        masquerade as a width-3 id."""
-        if self.shard_width == 0:
-            return shard_id == SINGLE_SHARD_ID
-        return len(shard_id) == self.shard_width and all(
-            c in "0123456789abcdef" for c in shard_id
-        )
-
     @property
-    def shard_ids(self) -> list[str]:
-        """Sorted ids of the non-empty shards."""
-        return sorted({self.shard_id(fp) for fp in self.entries})
-
-    def shard_dir(self, shard_id: str) -> Path:
-        return self.root / SHARDS_DIR / shard_id
-
-    def shard_matrix_path(self, shard_id: str) -> Path:
-        """Where this shard's eval-matrix bitset file lives."""
-        return self.shard_dir(shard_id) / MATRIX_NAME
-
-    def remove_leftover_files(self) -> int:
-        """Delete every shard's :data:`LEFTOVER_SHARD_FILE`; returns
-        the bytes they held."""
-        freed = 0
-        for path in sorted(
-            (self.root / SHARDS_DIR).glob(f"*/{LEFTOVER_SHARD_FILE}")
-        ):
-            freed += path.stat().st_size
-            path.unlink()
-        return freed
-
-    @property
-    def matrix_index_path(self) -> Path:
-        """The top-level eval-matrix index (see repro.corpus.matrix)."""
+    def matrix_path(self) -> Path:
+        """Where the eval matrix lives (see repro.corpus.matrix)."""
         return self.root / MATRIX_NAME
 
     def trace_path(self, fingerprint: str) -> Path:
-        return (
-            self.shard_dir(self.shard_id(fingerprint))
-            / TRACES_DIR
-            / f"{fingerprint}.json"
-        )
+        return self.root / TRACES_DIR / f"{fingerprint}.json"
 
     def eval_matrix(self) -> "ShardedEvalMatrix":
         """The persistent predicate-evaluation memo over this store."""
@@ -446,7 +356,7 @@ class TraceStore:
                 self.entries[fp] = dataclasses.replace(
                     existing, schedule=schedule_signature
                 )
-                self._dirty.add(self.shard_id(fp))
+                self._dirty = True
             return fp, False
         path = self.trace_path(fp)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -460,7 +370,7 @@ class TraceStore:
             ),
             schedule=schedule_signature,
         )
-        self._dirty.add(self.shard_id(fp))
+        self._dirty = True
         return fp, True
 
     def evict(self, fingerprint: str) -> bool:
@@ -474,7 +384,7 @@ class TraceStore:
         if entry is None:
             return False
         self.trace_path(fingerprint).unlink(missing_ok=True)
-        self._dirty.add(self.shard_id(fingerprint))
+        self._dirty = True
         return True
 
     # -- retrieval -------------------------------------------------------
@@ -504,137 +414,6 @@ class TraceStore:
             (corpus.failures if trace.failed else corpus.successes).append(trace)
         return corpus
 
-    # -- resharding ------------------------------------------------------
-
-    def reshard(self, width: int) -> dict:
-        """Rewrite the corpus under a new shard width, in place.
-
-        Built on :func:`~repro.corpus.matrix.merge_matrices` /
-        :func:`~repro.corpus.matrix.split_matrix`, so **every memoized
-        (predicate, trace) pair survives** — the first post-reshard
-        analyze performs zero fresh evaluations (asserted in tests).
-
-        Sequence (old layout stays readable until the commit point):
-        trace bodies are *copied* into their new shards, new shard
-        manifests and matrix files are written, then the top-level
-        manifest commits the new width, and finally the old shard
-        directories are removed.  Shard ids of the wrong width are
-        ignored everywhere (directories here, index entries in
-        :meth:`~repro.corpus.matrix.ShardedEvalMatrix.persisted_shard_ids`),
-        so a crash on either side of the commit leaves a consistent
-        view; re-running reshard — even with the already-committed
-        width — finishes the cleanup.
-
-        Returns a stats dict: ``n_traces``, ``shards_before``,
-        ``shards_after``, ``pairs_preserved``.
-        """
-        from .matrix import MATRIX_INDEX_VERSION, merge_matrices, split_matrix
-
-        if not 0 <= width <= 4:
-            raise CorpusError(
-                f"shard width must be between 0 and 4, got {width}"
-            )
-        old_width = self.shard_width
-        old_sids = self.shard_ids
-        if width == old_width:
-            # Still sweep stale other-width directories: a crash after
-            # the previous reshard's commit point but before its cleanup
-            # leaves them behind, and the documented recovery is to
-            # re-run reshard with the (now current) width.
-            self._drop_stale_shard_dirs()
-            return {
-                "n_traces": len(self.entries),
-                "shards_before": len(old_sids),
-                "shards_after": len(old_sids),
-                "pairs_preserved": 0,
-            }
-
-        def new_shard_id(fp: str) -> str:
-            return fp[:width] if width else SINGLE_SHARD_ID
-
-        # 1. Fold every persisted shard matrix into one, then split it
-        #    along the new layout (pair-preserving by construction).
-        matrix = self.eval_matrix()
-        merged = merge_matrices(
-            matrix.shard(sid) for sid in matrix.persisted_shard_ids()
-        )
-        new_matrices = split_matrix(merged, new_shard_id)
-
-        # 2. Copy trace bodies into their new shards (old bodies stay
-        #    until the commit point).
-        by_new_shard: dict[str, dict[str, TraceEntry]] = {}
-        for fp, entry in self.entries.items():
-            by_new_shard.setdefault(new_shard_id(fp), {})[fp] = entry
-            src = self.trace_path(fp)
-            dst = (
-                self.root / SHARDS_DIR / new_shard_id(fp)
-                / TRACES_DIR / f"{fp}.json"
-            )
-            if src == dst or dst.exists():
-                continue
-            if not src.exists():
-                raise CorpusError(
-                    f"cannot reshard {self.root}: manifest lists {fp} "
-                    f"but {src} is gone"
-                )
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            dst.write_bytes(src.read_bytes())
-
-        # 3. New shard manifests and matrix files, plus the matrix index.
-        for sid, rows in by_new_shard.items():
-            _write_json(
-                self.root / SHARDS_DIR / sid / MANIFEST_NAME,
-                {"traces": {fp: e.to_dict() for fp, e in sorted(rows.items())}},
-            )
-        matrix_sids = []
-        for sid, shard_matrix in sorted(new_matrices.items()):
-            shard_matrix.save(self.root / SHARDS_DIR / sid / MATRIX_NAME)
-            matrix_sids.append(sid)
-        _write_json(
-            self.matrix_index_path,
-            {"version": MATRIX_INDEX_VERSION, "shards": matrix_sids},
-            indent=None,
-        )
-
-        # 4. Commit: the top-level manifest now names the new layout.
-        self.shard_width = width
-        self._dirty.clear()
-        _write_json(
-            self.root / MANIFEST_NAME,
-            {
-                "version": STORE_VERSION,
-                "program": self._program,
-                "shard_width": width,
-                "shards": sorted(by_new_shard),
-            },
-        )
-
-        # 5. Cleanup: old and new shard ids never collide (different
-        #    widths name different-shaped directories), so every
-        #    directory outside the new layout is stale.  Shards that
-        #    hold only matrix columns (evicted traces awaiting compact)
-        #    are part of the new layout too.
-        self._drop_stale_shard_dirs()
-
-        return {
-            "n_traces": len(self.entries),
-            "shards_before": len(old_sids),
-            "shards_after": len(by_new_shard),
-            "pairs_preserved": merged.n_pairs,
-        }
-
-    def _drop_stale_shard_dirs(self) -> None:
-        """Remove shard directories whose id cannot belong to the
-        current width — leftovers of an interrupted :meth:`reshard`."""
-        import shutil
-
-        shards_root = self.root / SHARDS_DIR
-        if not shards_root.is_dir():
-            return
-        for path in shards_root.iterdir():
-            if path.is_dir() and not self.is_valid_shard_id(path.name):
-                shutil.rmtree(path, ignore_errors=True)
-
     # -- bookkeeping -----------------------------------------------------
 
     @property
@@ -650,14 +429,6 @@ class TraceStore:
 
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self.entries
-
-    def shard_entries(self, shard_id: str) -> dict[str, TraceEntry]:
-        """Manifest rows belonging to one shard."""
-        return {
-            fp: e
-            for fp, e in self.entries.items()
-            if self.shard_id(fp) == shard_id
-        }
 
     def signature_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -698,7 +469,7 @@ class TraceStore:
         what a service health check polls instead of screen-scraping
         the text stats (mirrors the report-schema pattern: a ``schema``
         field, sorted keys, pure function of the stored state)."""
-        matrix = self.eval_matrix()
+        matrix = self.eval_matrix().matrix
         return {
             "schema": STATS_SCHEMA_VERSION,
             "dir": str(self.root),
@@ -707,10 +478,6 @@ class TraceStore:
                 "total": len(self),
                 "pass": self.n_pass,
                 "fail": self.n_fail,
-            },
-            "shards": {
-                "width": self.shard_width,
-                "populated": len(self.shard_ids),
             },
             "signatures": dict(sorted(self.signature_counts().items())),
             "schedules": {
@@ -721,80 +488,81 @@ class TraceStore:
             },
             "matrix": {
                 "predicates": matrix.n_pids,
-                "traces": matrix.n_traces,
+                "traces": len(matrix.traces),
                 "pairs": matrix.n_pairs,
                 "coverage": round(matrix.coverage(), 6),
             },
         }
 
 
-def _migrate_v2(root: Path, manifest: dict) -> dict:
-    """Migrate a v2 (sharded) corpus to v3.
+def _migrate(root: Path, manifest: dict) -> dict:
+    """Bring a version-1, -2 or -3 store to the current layout in place
+    and return the new manifest (see the module docstring).
 
-    v3 keeps the v2 layout byte-for-byte, so migration is just the
-    manifest version bump; the atomic manifest write is the commit
-    point and re-running is a no-op.
+    Each step before the commit can be repeated: a bucket matrix fold
+    already written replaces the old matrix index (and is kept on a
+    re-run), and a body already under ``traces/`` is not moved again.
     """
-    migrated = dict(manifest)
-    migrated["version"] = STORE_VERSION
-    _write_json(root / MANIFEST_NAME, migrated)
-    return migrated
-
-
-def _migrate_v1(root: Path, manifest: dict) -> dict:
-    """Migrate a v1 (flat) corpus directory to the sharded layout
-    (landing directly on the current store version).
-
-    Idempotent and crash-tolerant: trace bodies are renamed one by one
-    (skipping ones already in place), shard manifests and matrix files
-    are written before the top-level manifest, and the versioned
-    top-level manifest write is the commit point — until then a
-    re-``open`` sees version 1 and resumes the migration.
-    """
-    width = DEFAULT_SHARD_WIDTH
-    rows = manifest.get("traces", {})
-    by_shard: dict[str, dict[str, dict]] = {}
-    for fp, row in rows.items():
-        sid = fp[:width] if width else SINGLE_SHARD_ID
-        by_shard.setdefault(sid, {})[fp] = row
-        src = root / TRACES_DIR / f"{fp}.json"
-        dst = root / SHARDS_DIR / sid / TRACES_DIR / f"{fp}.json"
-        if src.exists():
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            src.replace(dst)
-        elif not dst.exists():
-            raise CorpusError(
-                f"cannot migrate {root}: manifest lists {fp} but "
-                f"{src} is gone"
-            )
-    for sid, shard_rows in by_shard.items():
-        _write_json(
-            root / SHARDS_DIR / sid / MANIFEST_NAME,
-            {"traces": dict(sorted(shard_rows.items()))},
-        )
-
-    # Split the single v1 eval matrix into per-shard bitset files,
-    # preserving every memoized pair (zero re-evaluations afterwards).
-    matrix_path = root / MATRIX_NAME
-    if matrix_path.exists():
-        from .matrix import migrate_matrix_v1
-
-        migrate_matrix_v1(
-            matrix_path,
-            shard_id=lambda fp: fp[:width] if width else SINGLE_SHARD_ID,
-            shard_path=lambda sid: root / SHARDS_DIR / sid / MATRIX_NAME,
-        )
-
+    if manifest["version"] == 1:
+        rows = manifest.get("traces", {})
+    else:
+        rows = _fold_buckets(root, manifest)
     migrated = {
         "version": STORE_VERSION,
         "program": manifest.get("program"),
-        "shard_width": width,
-        "shards": sorted(by_shard),
+        "traces": rows,
     }
-    _write_json(root / MANIFEST_NAME, migrated)
-
-    # Best-effort cleanup of the now-empty v1 trace directory.
-    old_traces = root / TRACES_DIR
-    if old_traces.is_dir() and not any(old_traces.iterdir()):
-        old_traces.rmdir()
+    _write_json(root / MANIFEST_NAME, migrated)  # the commit point
     return migrated
+
+
+def _fold_buckets(root: Path, manifest: dict) -> dict:
+    """Fold a version-2/-3 store's buckets into the flat layout (bucket
+    matrices into one matrix, bodies into ``traces/``) and return its
+    manifest rows; the caller commits them."""
+    from .matrix import MATRIX_VERSION, EvalMatrix, merge_matrices
+
+    width = manifest.get("shard_width", 2)
+    buckets = root / SHARDS_DIR
+
+    def bucket(fp: str) -> str:
+        return fp[:width] if width else "all"
+
+    def of_this_width(sid: str) -> bool:
+        # an interrupted resharding could leave other-width ids behind
+        if width == 0:
+            return sid == "all"
+        return len(sid) == width and all(c in "0123456789abcdef" for c in sid)
+
+    listed = manifest.get("shards", [])
+    rows: dict[str, dict] = {}
+    for sid in listed:
+        rows.update(_read_json(buckets / sid / MANIFEST_NAME).get("traces", {}))
+
+    matrix_path = root / MATRIX_NAME
+    index = _read_json(matrix_path) if matrix_path.exists() else {}
+    if index.get("version") != MATRIX_VERSION:  # not folded yet
+        sids = sorted(
+            {*listed, *filter(of_this_width, index.get("shards", []))}
+        )
+        merged = merge_matrices(
+            EvalMatrix(buckets / sid / MATRIX_NAME) for sid in sids
+        )
+        if merged.traces:
+            merged.save(matrix_path)
+        else:
+            matrix_path.unlink(missing_ok=True)
+
+    (root / TRACES_DIR).mkdir(exist_ok=True)
+    for fp in rows:
+        body = root / TRACES_DIR / f"{fp}.json"
+        if body.exists():
+            continue
+        old = buckets / bucket(fp) / TRACES_DIR / f"{fp}.json"
+        if not old.exists():
+            raise CorpusError(
+                f"cannot migrate {root}: manifest lists {fp} but {old} "
+                "is gone"
+            )
+        os.replace(old, body)
+    return rows

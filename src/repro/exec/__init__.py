@@ -21,9 +21,10 @@ in-line execution.
 
 The engine is deliberately generic — an order-preserving parallel map
 plus a memo — so other subsystems reuse it for non-intervention work:
-:mod:`repro.corpus` dispatches one *analysis task per corpus shard*
-through :meth:`~repro.exec.engine.ExecutionEngine.dispatch` for
-``repro corpus analyze --jobs N``.
+:mod:`repro.core.evalkernel` dispatches discovery's per-trace
+summarization in chunks through
+:meth:`~repro.exec.engine.ExecutionEngine.dispatch` for ``repro corpus
+analyze --jobs N``.
 
 Invariant: every backend satisfies ``map(fn, items)[i] == fn(items[i])``,
 so results never depend on the backend or job count — only the

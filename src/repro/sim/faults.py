@@ -181,7 +181,6 @@ class MethodExitPlan:
     """What the runtime must do when a matching method finishes."""
 
     delays: int = 0
-    locks: Sequence[str] = ()
     force_return: Optional[ForceReturn] = None
     catch: Optional[CatchException] = None
 
@@ -260,7 +259,6 @@ class InterventionSet:
         if method not in self.methods:
             return NO_EXIT_PLAN
         delays = 0
-        locks: list[str] = []
         force_return = None
         catch = None
         for item in self.interventions:
@@ -268,9 +266,6 @@ class InterventionSet:
                 method, thread, occurrence
             ):
                 delays += item.ticks
-            elif isinstance(item, SerializeMethods):
-                if any(s.matches(method, thread, occurrence) for s in item.selectors):
-                    locks.append(item.lock_name)
             elif (
                 isinstance(item, ForceReturn)
                 and not item.skip_body
@@ -281,6 +276,4 @@ class InterventionSet:
                 method, thread, occurrence
             ):
                 catch = item
-        return MethodExitPlan(
-            delays, sorted(set(locks), reverse=True), force_return, catch
-        )
+        return MethodExitPlan(delays, force_return, catch)

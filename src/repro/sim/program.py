@@ -322,9 +322,15 @@ class SimContext:
         entry = runtime.interventions.entry_plan(name, self.thread, occurrence)
         exit_ = runtime.interventions.exit_plan(name, self.thread, occurrence)
 
+        locks = entry.locks
+        if locks:
+            # An injected lock this thread already holds belongs to an
+            # enclosing serialized call, which acquires and releases it.
+            owner = runtime.lock_owner
+            locks = [lock for lock in locks if owner.get(lock) != self.thread]
         for selector in entry.wait_for:
             yield WaitCompletedAction(selector=selector)
-        for lock in entry.locks:
+        for lock in locks:
             yield AcquireAction(lock)
         if entry.delays:
             yield SleepAction(entry.delays)
@@ -344,7 +350,7 @@ class SimContext:
                 ret = exit_.catch.fallback
             else:
                 runtime.end_method(self.thread, call_id, None, exc.kind)
-                for lock in reversed(entry.locks):
+                for lock in reversed(locks):
                     yield ReleaseAction(lock)
                 raise
         if exit_.delays:
@@ -352,6 +358,6 @@ class SimContext:
         if exit_.force_return is not None:
             ret = exit_.force_return.value
         runtime.end_method(self.thread, call_id, ret, None, body_skipped)
-        for lock in reversed(entry.locks):
+        for lock in reversed(locks):
             yield ReleaseAction(lock)
         return ret

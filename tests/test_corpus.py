@@ -1,5 +1,7 @@
 """The trace-corpus subsystem: store, eval matrix, incremental pipeline,
-corpus sessions, and the ``repro corpus`` CLI."""
+corpus sessions, the ``repro corpus`` CLI, and predicate-suite
+persistence (``suite.json`` keeps a warm corpus from re-paying a
+discovery pass)."""
 
 from __future__ import annotations
 
@@ -9,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import repro
+from repro.api import CorpusSpec, EventLog, RunSpec, run
 from repro.cli import main
 from repro.core.acdag import ACDag
+from repro.core.extraction import PredicateSuite
 from repro.core.predicates import ExecutedPredicate, FailurePredicate, Observation
 from repro.core.statistical import (
     IncrementalDebugger,
@@ -538,3 +543,121 @@ class TestCorpusCLI:
         assert main(["corpus", "init", corpus_dir]) == 0
         with pytest.raises(SystemExit, match="no failed traces"):
             main(["corpus", "analyze", corpus_dir])
+
+
+def canonical(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def analyze(corpus_dir: str):
+    """One incremental analyze via the API; returns (report, event log)."""
+    log = EventLog()
+    report = run(
+        RunSpec(corpus=CorpusSpec(dir=corpus_dir, mode="incremental")),
+        observers=[log],
+    )
+    return report, log
+
+
+@pytest.fixture()
+def corpus_dir(tmp_path):
+    d = str(tmp_path / "corpus")
+    assert main(["corpus", "init", d, "--workload", "network"]) == 0
+    assert main(["corpus", "ingest", d, "--runs", "5"]) == 0
+    return d
+
+
+@pytest.fixture()
+def analyzed_corpus(corpus_dir):
+    """A corpus with one cold analyze behind it."""
+    report, log = analyze(corpus_dir)
+    return corpus_dir, canonical(report), log
+
+
+class TestSuitePersistence:
+    def test_cold_analyze_persists_the_suite(self, analyzed_corpus):
+        corpus_dir, _, log = analyzed_corpus
+        assert log.first("suite-frozen").source == "discovered"
+        store = TraceStore.open(corpus_dir)
+        assert store.suite_path.exists()
+        payload = json.loads(store.suite_path.read_text())
+        assert payload["corpus_digest"] == store.content_digest
+        assert payload["program"] == "network-controlplane"
+
+    def test_warm_analyze_skips_discovery(self, analyzed_corpus, monkeypatch):
+        corpus_dir, baseline, _ = analyzed_corpus
+
+        def boom(*args, **kwargs):
+            raise AssertionError("discovery ran on a warm corpus")
+
+        monkeypatch.setattr(PredicateSuite, "discover", boom)
+        report, log = analyze(corpus_dir)
+        assert log.first("suite-frozen").source == "persisted"
+        assert log.first("logs-evaluated").fresh == 0
+        assert canonical(report) == baseline
+
+    def test_content_change_invalidates_the_suite(self, analyzed_corpus):
+        corpus_dir, _, _ = analyzed_corpus
+        assert main(["corpus", "ingest", corpus_dir, "--runs", "1"]) == 0
+        store = TraceStore.open(corpus_dir)
+        assert store.load_suite(program="network-controlplane") is None
+        _, log = analyze(corpus_dir)
+        assert log.first("suite-frozen").source == "discovered"
+        # ... and the new freeze is persisted for the next warm start
+        _, warm_log = analyze(corpus_dir)
+        assert warm_log.first("suite-frozen").source == "persisted"
+
+    def test_program_mismatch_invalidates_the_suite(self, analyzed_corpus):
+        corpus_dir, _, _ = analyzed_corpus
+        store = TraceStore.open(corpus_dir)
+        assert store.load_suite(program="network-controlplane") is not None
+        assert store.load_suite(program=None) is None
+        assert store.load_suite(program="other-program") is None
+
+    def test_custom_extractors_do_not_use_the_persisted_suite(
+        self, analyzed_corpus
+    ):
+        from repro.core.extraction import FailureExtractor, MethodFailsExtractor
+
+        corpus_dir, _, _ = analyzed_corpus
+        store = TraceStore.open(corpus_dir)
+        workload = repro.load_workload("network")
+        pipeline = IncrementalPipeline(
+            store,
+            program=workload.program,
+            extractors=[MethodFailsExtractor(), FailureExtractor()],
+        )
+        pipeline.bootstrap()
+        # the persisted (full-catalogue) suite was not reused
+        assert all(
+            pid.startswith(("fails(", "FAILURE[")) for pid in pipeline.suite.pids()
+        )
+
+    def test_suite_round_trip_preserves_fingerprint(self, analyzed_corpus):
+        corpus_dir, _, _ = analyzed_corpus
+        store = TraceStore.open(corpus_dir)
+        suite = store.load_suite(program="network-controlplane")
+        clone = PredicateSuite.from_dict(suite.to_dict())
+        assert clone.pids() == suite.pids()
+        assert list(clone.defs) == list(suite.defs)  # order preserved
+        assert clone.fingerprint == suite.fingerprint
+
+    def test_unknown_suite_version_ignored(self, analyzed_corpus):
+        corpus_dir, _, _ = analyzed_corpus
+        store = TraceStore.open(corpus_dir)
+        payload = json.loads(store.suite_path.read_text())
+        payload["version"] = 99
+        store.suite_path.write_text(json.dumps(payload))
+        assert store.load_suite(program="network-controlplane") is None
+        _, log = analyze(corpus_dir)
+        assert log.first("suite-frozen").source == "discovered"
+
+    def test_warm_debug_still_pays_zero_evaluations(
+        self, analyzed_corpus, capsys
+    ):
+        """The CorpusSession path keeps its own guarantee next to the
+        persisted-suite fast path."""
+        corpus_dir, _, _ = analyzed_corpus
+        assert main(["debug", "network", "--corpus", corpus_dir]) == 0
+        out = capsys.readouterr().out
+        assert "0 fresh predicate evaluations" in out

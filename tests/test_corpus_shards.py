@@ -1,6 +1,8 @@
-"""The sharded corpus layout: v1/v2→v3 migration, shard-parallel analyze
-determinism (one global AC-DAG build per bootstrap), AC-DAG merging,
-and compaction."""
+"""The corpus layout (one manifest, one ``traces/`` directory, one eval
+matrix), migration from the flat v1 layout, ``--jobs`` determinism of
+analyze (one global AC-DAG build per bootstrap), AC-DAG merging, and
+compaction.  Older sharded stores are covered by
+``test_corpus_migration.py``."""
 
 from __future__ import annotations
 
@@ -16,14 +18,12 @@ from repro.cli import main
 from repro.core.acdag import ACDag, GraphInvariantError
 from repro.core.extraction import PredicateSuite
 from repro.core.predicates import ExecutedPredicate, FailurePredicate, Observation
-from repro.core.statistical import IncrementalDebugger, PredicateLog
+from repro.core.statistical import PredicateLog
 from repro.corpus import (
     CorpusError,
     EvalMatrix,
     IncrementalPipeline,
     TraceStore,
-    merge_matrices,
-    split_matrix,
 )
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
@@ -35,20 +35,18 @@ def corpus(racy_program):
     return collect(racy_program, n_success=12, n_fail=12)
 
 
-def _build_store(root, racy_program, corpus, shard_width=2) -> TraceStore:
-    store = TraceStore.init(
-        root, program=racy_program.name, shard_width=shard_width
-    )
+def _build_store(root, racy_program, corpus) -> TraceStore:
+    store = TraceStore.init(root, program=racy_program.name)
     for trace in corpus.successes + corpus.failures:
         store.ingest(trace)
     store.save()
     return store
 
 
-def _downgrade_to_v1(v2_root: Path, v1_root: Path) -> None:
-    """Write the v1 (flat) layout equivalent of a sharded corpus —
-    manifest, trace bodies, and the single-file eval matrix."""
-    store = TraceStore.open(v2_root)
+def _downgrade_to_v1(root: Path, v1_root: Path) -> None:
+    """Write the v1 (flat) layout equivalent of a corpus — manifest,
+    trace bodies, and the single-file eval matrix."""
+    store = TraceStore.open(root)
     (v1_root / "traces").mkdir(parents=True)
     rows = {}
     for fp, entry in sorted(store.entries.items()):
@@ -65,51 +63,29 @@ def _downgrade_to_v1(v2_root: Path, v1_root: Path) -> None:
             sort_keys=True,
         )
     )
-    matrix = store.eval_matrix()
-    matrix.load_all()
-    merged = merge_matrices(
-        matrix.shard(sid) for sid in matrix.persisted_shard_ids()
-    )
-    if merged.traces:
-        merged.save(v1_root / "evalmatrix.json")
+    if store.matrix_path.exists():
+        shutil.copy(store.matrix_path, v1_root / "evalmatrix.json")
 
 
 class TestShardLayout:
-    def test_traces_land_in_their_prefix_shard(
-        self, tmp_path, racy_program, corpus
-    ):
-        store = _build_store(tmp_path / "c", racy_program, corpus)
-        for fp in store.entries:
-            assert store.shard_id(fp) == fp[:2]
-            assert store.trace_path(fp).exists()
-            assert store.trace_path(fp).parent.parent.name == fp[:2]
-        top = json.loads((tmp_path / "c" / "manifest.json").read_text())
-        assert top["version"] == 3
-        assert top["shards"] == store.shard_ids
-
-    def test_width_zero_is_a_single_bucket(
-        self, tmp_path, racy_program, corpus
-    ):
-        store = _build_store(
-            tmp_path / "c", racy_program, corpus, shard_width=0
-        )
-        assert store.shard_ids == ["all"]
-        reopened = TraceStore.open(tmp_path / "c")
-        assert reopened.shard_width == 0
-        assert set(reopened.entries) == set(store.entries)
-
-    def test_matrix_files_are_per_shard_with_index(
+    def test_one_manifest_one_traces_dir_one_matrix(
         self, tmp_path, racy_program, corpus
     ):
         store = _build_store(tmp_path / "c", racy_program, corpus)
         pipeline = IncrementalPipeline(store, program=racy_program)
         pipeline.bootstrap()
         pipeline.save()
-        index = json.loads((tmp_path / "c" / "evalmatrix.json").read_text())
-        assert index["version"] == 2
-        assert index["shards"] == store.shard_ids
-        for sid in store.shard_ids:
-            assert store.shard_matrix_path(sid).exists()
+        root = tmp_path / "c"
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest["version"] == 4
+        assert sorted(manifest["traces"]) == sorted(store.entries)
+        assert sorted(p.stem for p in (root / "traces").iterdir()) == sorted(
+            store.entries
+        )
+        assert sorted(p.name for p in root.iterdir()) == [
+            "evalmatrix.json", "manifest.json", "suite.json", "traces",
+        ]
+        assert EvalMatrix(root / "evalmatrix.json").traces
 
     def test_evict_removes_entry_and_body(self, tmp_path, racy_program, corpus):
         store = _build_store(tmp_path / "c", racy_program, corpus)
@@ -137,10 +113,11 @@ class TestMigration:
         migrated = TraceStore.open(v1)
 
         manifest = json.loads((v1 / "manifest.json").read_text())
-        assert manifest["version"] == 3
-        assert manifest["shard_width"] == 2
-        assert not (v1 / "traces").exists()
+        assert manifest["version"] == 4
+        assert sorted(manifest["traces"]) == sorted(reference.entries)
         assert set(migrated.entries) == set(reference.entries)
+        for fp in migrated.entries:
+            assert migrated.load(fp).fingerprint == fp
         # and it stays open-able (idempotent end state)
         again = TraceStore.open(v1)
         assert set(again.entries) == set(migrated.entries)
@@ -159,7 +136,7 @@ class TestMigration:
             TraceStore.open(v1), program=racy_program
         )
         pipeline.bootstrap()
-        # every memoized pair survived the split: zero re-evaluations
+        # every memoized pair survived: zero re-evaluations
         assert pipeline.matrix.pair_evaluations == 0
         assert pipeline.matrix.pair_hits > 0
         assert pipeline.fully == ref_pipeline.fully
@@ -167,24 +144,6 @@ class TestMigration:
         for mine, theirs in zip(pipeline.logs, ref_pipeline.logs):
             assert dict(mine.observations) == dict(theirs.observations)
             assert mine.failed == theirs.failed
-
-    def test_split_then_merge_round_trips(self, tmp_path, racy_program, corpus):
-        store = _build_store(tmp_path / "c", racy_program, corpus)
-        pipeline = IncrementalPipeline(store, program=racy_program)
-        pipeline.bootstrap()
-        pipeline.save()
-        sharded = store.eval_matrix()
-        sharded.load_all()
-        merged = merge_matrices(
-            sharded.shard(sid) for sid in sharded.persisted_shard_ids()
-        )
-        again = split_matrix(merged, store.shard_id)
-        for sid, shard in again.items():
-            original = sharded.shard(sid)
-            assert shard.traces == original.traces
-            assert shard.evaluated == original.evaluated
-            assert shard.observed == original.observed
-            assert shard.observations == original.observations
 
     def test_unsupported_version_still_rejected(self, tmp_path):
         root = tmp_path / "c"
@@ -194,13 +153,7 @@ class TestMigration:
             TraceStore.open(root)
 
 
-_LAYOUTS = [
-    pytest.param(
-        width, jobs, id=f"width{width}-{'serial' if jobs == 1 else 'thread2'}"
-    )
-    for width in (0, 1, 2)
-    for jobs in (1, 2)
-]
+_JOBS = [pytest.param(1, id="serial"), pytest.param(2, id="thread2")]
 
 
 def _incremental_report(root: Path, jobs: int) -> str:
@@ -216,9 +169,9 @@ def _incremental_report(root: Path, jobs: int) -> str:
 
 @pytest.fixture(scope="module")
 def reference_report(tmp_path_factory, racy_program, corpus) -> str:
-    """The serial, unsharded report every layout must reproduce."""
+    """The serial report every job count must reproduce."""
     root = tmp_path_factory.mktemp("reference") / "c"
-    _build_store(root, racy_program, corpus, shard_width=0)
+    _build_store(root, racy_program, corpus)
     return _incremental_report(root, 1)
 
 
@@ -238,6 +191,23 @@ class TestShardParallelDeterminism:
             assert main(argv) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_cli_output_is_identical_for_any_jobs_and_backend(
+        self, tmp_path, capsys
+    ):
+        outs = {}
+        for name, flags in (
+            ("jobs1", ["--jobs", "1"]),
+            ("thread2", ["--jobs", "2"]),
+            ("process2", ["--jobs", "2", "--backend", "process"]),
+        ):
+            corpus_dir = str(tmp_path / name)
+            assert main(["corpus", "init", corpus_dir, "--workload", "network"]) == 0
+            assert main(["corpus", "ingest", corpus_dir, "--runs", "4"]) == 0
+            capsys.readouterr()
+            assert main(["corpus", "analyze", corpus_dir, *flags]) == 0
+            outs[name] = capsys.readouterr().out
+        assert outs["jobs1"] == outs["thread2"] == outs["process2"]
 
     def test_engine_bootstrap_matches_serial(
         self, tmp_path, racy_program, corpus
@@ -288,20 +258,11 @@ class TestShardParallelDeterminism:
             assert dict(a.observations) == dict(b.observations)
             assert (a.failed, a.seed) == (b.failed, b.seed)
 
-    @pytest.mark.parametrize("width, jobs", _LAYOUTS)
-    def test_merged_dag_equals_rebuild(
-        self, tmp_path, racy_program, corpus, reference_report, width, jobs
+    @pytest.mark.parametrize("jobs", _JOBS)
+    def test_bootstrap_dag_equals_rebuild(
+        self, tmp_path, racy_program, corpus, reference_report, jobs
     ):
-        store = _build_store(
-            tmp_path / "c", racy_program, corpus, shard_width=width
-        )
-        if width == 2:
-            # The precision case: a shard holding only passing traces
-            # still shrinks the global FD set the DAG is built over.
-            assert any(
-                not any(e.failed for e in store.shard_entries(sid).values())
-                for sid in store.shard_ids
-            )
+        store = _build_store(tmp_path / "c", racy_program, corpus)
         engine = (
             ExecutionEngine(backend=make_backend("thread", jobs))
             if jobs > 1
@@ -316,7 +277,7 @@ class TestShardParallelDeterminism:
         assert pipeline.dag.structure() == pipeline.rebuild().structure()
 
         report_root = tmp_path / "r"
-        _build_store(report_root, racy_program, corpus, shard_width=width)
+        _build_store(report_root, racy_program, corpus)
         assert _incremental_report(report_root, jobs) == reference_report
 
     @pytest.mark.parametrize("suite_source", ("discovered", "persisted"))
@@ -426,26 +387,6 @@ class TestACDagMerge:
         assert merged.structure() == dag.structure()
 
 
-class TestIncrementalDebuggerMerge:
-    def test_merge_equals_extend(self):
-        logs_a = [
-            PredicateLog(observations={"p": _obs(1)}, failed=True),
-            PredicateLog(observations={"q": _obs(1)}, failed=False),
-        ]
-        logs_b = [
-            PredicateLog(observations={"p": _obs(2), "q": _obs(3)}, failed=True),
-        ]
-        whole = IncrementalDebugger()
-        whole.extend(logs_a + logs_b)
-        left, right = IncrementalDebugger(), IncrementalDebugger()
-        left.extend(logs_a)
-        right.extend(logs_b)
-        merged = IncrementalDebugger().merge(left).merge(right)
-        assert merged.counts == whole.counts
-        assert merged.n_failed == whole.n_failed
-        assert merged.n_success == whole.n_success
-
-
 class TestCompaction:
     def _analyzed(self, tmp_path, racy_program, corpus):
         store = _build_store(tmp_path / "c", racy_program, corpus)
@@ -459,15 +400,14 @@ class TestCompaction:
     ):
         store, pipeline = self._analyzed(tmp_path, racy_program, corpus)
         # Shadow a row: a predicate from a long-gone suite lingers in
-        # one shard's matrix file with its own digest.
-        sid = store.shard_ids[0]
-        shard = EvalMatrix(store.shard_matrix_path(sid))
+        # the matrix file with its own digest.
+        matrix = EvalMatrix(store.matrix_path)
         ghost = "ghost[old:Predicate#0]"
-        shard.evaluated[ghost] = (1 << len(shard.traces)) - 1
-        shard.observed[ghost] = 1
-        shard.digests[ghost] = "digest-of-a-dropped-definition"
-        shard.observations.setdefault(shard.traces[0], {})[ghost] = [0, 1, 0, 1]
-        shard.save()
+        matrix.evaluated[ghost] = (1 << len(matrix.traces)) - 1
+        matrix.observed[ghost] = 1
+        matrix.digests[ghost] = "digest-of-a-dropped-definition"
+        matrix.observations.setdefault(matrix.traces[0], {})[ghost] = [0, 1, 0, 1]
+        matrix.save()
         # Evict one trace; its matrix column survives until compaction.
         evicted = sorted(store.entries)[-1]
         assert store.evict(evicted)
@@ -483,9 +423,10 @@ class TestCompaction:
         assert stats.dropped_columns >= 1
         assert stats.bytes_reclaimed > 0
 
-        compacted = EvalMatrix(store.shard_matrix_path(sid))
+        compacted = EvalMatrix(store.matrix_path)
         assert ghost not in compacted.evaluated
         assert ghost not in compacted.digests
+        assert evicted not in compacted.traces
         # and the surviving pairs still answer from the memo
         warm = IncrementalPipeline(
             TraceStore.open(store.root), program=racy_program
@@ -493,27 +434,6 @@ class TestCompaction:
         warm.bootstrap()
         assert warm.matrix.pair_evaluations == 0
         assert warm.fully == fresh.fully
-
-    def test_compact_reclaims_fully_emptied_shards(
-        self, tmp_path, racy_program, corpus
-    ):
-        store, pipeline = self._analyzed(tmp_path, racy_program, corpus)
-        victim_sid = store.shard_ids[0]
-        for fp in list(store.shard_entries(victim_sid)):
-            assert store.evict(fp)
-        store.save()
-        fresh = IncrementalPipeline(
-            TraceStore.open(store.root), program=racy_program
-        )
-        fresh.bootstrap()
-        stats = fresh.compact()
-        assert stats.bytes_reclaimed > 0
-        # the emptied shard's matrix file and index entry are gone, so
-        # evicted columns cannot resurrect on reopen
-        assert not store.shard_matrix_path(victim_sid).exists()
-        reopened = TraceStore.open(store.root).eval_matrix()
-        assert victim_sid not in reopened.persisted_shard_ids()
-        assert reopened.n_traces == len(TraceStore.open(store.root))
 
     def test_rebootstrap_rediscovers_unless_suite_injected(
         self, tmp_path, racy_program
@@ -557,18 +477,3 @@ class TestCompaction:
         out = capsys.readouterr().out
         assert "evicted trace columns" in out
         assert "reclaimed" in out
-
-
-class TestShardStatsCLI:
-    def test_shard_stats_lists_populated_shards(self, tmp_path, capsys):
-        corpus_dir = str(tmp_path / "c")
-        assert main(["corpus", "init", corpus_dir, "--workload", "network"]) == 0
-        assert main(["corpus", "ingest", corpus_dir, "--runs", "3"]) == 0
-        capsys.readouterr()
-        assert main(["corpus", "shard-stats", corpus_dir]) == 0
-        out = capsys.readouterr().out
-        assert "shards (width 2)" in out
-        assert "memo pairs" in out
-        store = TraceStore.open(corpus_dir)
-        for sid in store.shard_ids:
-            assert sid in out

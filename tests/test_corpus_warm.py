@@ -1,12 +1,14 @@
 """A warm corpus costs nothing, and a corrupt one fails cleanly.
 
 Every run below starts from a copy of ``tests/fixtures/golden_corpus``
-(eight stored npgsql traces):
+(eight stored npgsql traces in the older sharded layout, which the first
+``TraceStore.open`` migrates):
 
 * a corpus-mode debug learns through ``IncrementalPipeline.bootstrap``,
   so its second run reuses the persisted suite and reads no trace body;
 * a warm ``corpus analyze`` rewrites no eval-matrix file;
-* a truncated or garbage corpus file is a ``repro: corpus: ...`` error
+* a truncated or garbage corpus file — of the current layout, or of the
+  older layout a migration reads — is a ``repro: corpus: ...`` error
   naming the file, not a traceback.
 """
 
@@ -112,7 +114,7 @@ class TestWarmAnalyzeWrites:
     def test_warm_analyze_writes_no_matrix_file(self, corpus_dir, capsys):
         assert main(["corpus", "analyze", str(corpus_dir)]) == 0
         cold = _matrix_files(corpus_dir)
-        assert len(cold) > 1  # the index plus at least one shard
+        assert list(cold) == [corpus_dir / "evalmatrix.json"]
         capsys.readouterr()
         assert main(["corpus", "analyze", str(corpus_dir)]) == 0
         assert "evaluation: 0 fresh," in capsys.readouterr().out
@@ -122,6 +124,26 @@ class TestWarmAnalyzeWrites:
 def _first(pattern: str):
     def pick(root: Path) -> Path:
         return sorted(root.glob(pattern))[0]
+
+    return pick
+
+
+def _migrated(name: str):
+    """A file of the current layout: open (and so migrate) first."""
+
+    def pick(root: Path) -> Path:
+        TraceStore.open(root)
+        return _first(name)(root)
+
+    return pick
+
+
+def _analyzed(name: str):
+    """A file of the current layout that only an analyze writes."""
+
+    def pick(root: Path) -> Path:
+        assert main(["corpus", "analyze", str(root)]) == 0
+        return root / name
 
     return pick
 
@@ -144,14 +166,19 @@ class TestCorruptCorpusFiles:
         "locate, corrupt",
         [
             (_first("shards/*/manifest.json"), _truncate),
-            (_first("shards/*/traces/*.json"), _truncate),
+            (_migrated("traces/*.json"), _truncate),
             (
                 lambda root: root / "shards" / "00" / "evalmatrix.json",
                 _garbage,
             ),
             (lambda root: root / "evalmatrix.json", _not_an_object),
+            (_migrated("manifest.json"), _truncate),
+            (_analyzed("evalmatrix.json"), _garbage),
         ],
-        ids=["shard-manifest", "trace-body", "shard-matrix", "matrix-index"],
+        ids=[
+            "shard-manifest", "trace-body", "shard-matrix", "matrix-index",
+            "manifest", "matrix",
+        ],
     )
     def test_analyze_fails_with_a_corpus_error(
         self, corpus_dir, locate, corrupt

@@ -59,7 +59,7 @@ class TestChecker:
         assert errors and "--no-such" in errors[0]
 
     def test_subcommands_are_validated(self, parser):
-        assert check_invocation(["corpus", "shard-stats", "d"], parser) == []
+        assert check_invocation(["corpus", "compact", "d"], parser) == []
         errors = check_invocation(["corpus", "defragment", "d"], parser)
         assert errors and "defragment" in errors[0]
         errors = check_invocation(["debgu", "kafka"], parser)

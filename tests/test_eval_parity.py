@@ -9,14 +9,14 @@ empty traces, duplicate keys):
   per-predicate loop, entry for entry and in the same order, for every
   predicate kind including data races and compounds, on both
   ``store.load`` traces and ``trace_from_dict`` traces;
-* **matrix parity** — the shard-task batch paths (serial and on an
-  8-thread engine) give the same logs, counters, and persisted bitsets
-  as per-trace ``log_for``;
+* **matrix parity** — the batch paths (``evaluate_fingerprints`` and
+  ``evaluate_shards``) give the same logs, memo counters, and persisted
+  bitsets as per-trace ``log_for``, and SD counters equal to feeding
+  those logs to an :class:`IncrementalDebugger`;
 * **lazy loads** — a warm ``evaluate_fingerprints`` reads no trace
   bodies and evaluates no pairs;
 * **reports** — byte-identical ``SessionReport.to_dict()`` for any job
-  count, and against the committed golden fixture (also after
-  ``corpus compact`` clears a leftover shard side file).
+  count, and against the committed golden fixture.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from pathlib import Path
 import pytest
 
 from gen import OBJECTS, RETURN_VALUES, make_corpus
-from repro.cli import main
 from repro.core.evalkernel import SuiteKernel, race_candidates
 from repro.core.extraction import PredicateSuite
 from repro.core.predicates import (
@@ -45,6 +44,7 @@ from repro.core.predicates import (
     TooSlowPredicate,
     WrongReturnPredicate,
 )
+from repro.core.statistical import IncrementalDebugger
 from repro.corpus.session import CorpusSession
 from repro.corpus.store import TraceStore
 from repro.exec import ExecutionEngine, make_backend
@@ -192,19 +192,15 @@ class TestKernelParity:
             assert type(pred).evaluate is not PredicateDef.evaluate
 
 
-def _matrix_state(matrix, fps) -> dict:
-    """Counters per shard plus the saved bitset files' bytes."""
+def _matrix_state(matrix) -> tuple:
+    """Memo counters plus the saved bitset file's bytes."""
     matrix.save()
-    sids = sorted({matrix.store.shard_id(fp) for fp in fps})
-    return {
-        sid: (
-            matrix.shard(sid).pair_evaluations,
-            matrix.shard(sid).pair_hits,
-            matrix.shard(sid).kernel_calls,
-            matrix.store.shard_matrix_path(sid).read_bytes(),
-        )
-        for sid in sids
-    }
+    return (
+        matrix.pair_evaluations,
+        matrix.pair_hits,
+        matrix.kernel_calls,
+        matrix.store.matrix_path.read_bytes(),
+    )
 
 
 def _log_key(log) -> tuple:
@@ -216,9 +212,9 @@ def _log_key(log) -> tuple:
     )
 
 
-def _reconstructed(matrix, suite, evaluations) -> dict:
+def _reconstructed(matrix, suite, fps) -> dict:
     """Every evaluated trace's log key, rebuilt from the matrix bitsets
-    (shard tasks ship no logs back)."""
+    (batch evaluation returns no logs)."""
     entries = matrix.store.entries
     return {
         fp: _log_key(
@@ -230,52 +226,38 @@ def _reconstructed(matrix, suite, evaluations) -> dict:
                 signature=entries[fp].signature,
             )
         )
-        for ev in evaluations
-        for fp in ev.matrix.traces
+        for fp in fps
     }
 
 
 class TestMatrixParity:
-    @pytest.mark.parametrize("jobs", (0, 8), ids=("serial", "thread8"))
     @pytest.mark.parametrize("path", ("fingerprints", "shards"))
     @pytest.mark.parametrize("seed", (0, 7, 13))
-    def test_batch_equals_per_trace_log_for(self, tmp_path, seed, path, jobs):
+    def test_batch_equals_per_trace_log_for(self, tmp_path, seed, path):
         payloads = make_corpus(seed)
         suite = _suite_for(payloads)
 
         reference_store = _ingest(tmp_path / "ref", payloads)
-        assert reference_store.shard_width == 2
         fps = sorted(reference_store.entries)
         reference = reference_store.eval_matrix()
-        expected = {
-            fp: _log_key(reference.log_for(suite, reference_store.load(fp)))
-            for fp in fps
-        }
+        logs = [reference.log_for(suite, reference_store.load(fp)) for fp in fps]
+        expected = {fp: _log_key(log) for fp, log in zip(fps, logs)}
+        oracle = IncrementalDebugger()
+        oracle.extend(logs)
 
         store = _ingest(tmp_path / "batch", payloads)
         matrix = store.eval_matrix()
-        engine = (
-            ExecutionEngine(backend=make_backend("thread", jobs=jobs))
-            if jobs
-            else None
+        if path == "fingerprints":
+            counters = matrix.evaluate_fingerprints(suite, fps)
+        else:
+            counters = matrix.evaluate_shards(
+                suite, [store.load(fp) for fp in fps]
+            )
+        assert _reconstructed(matrix, suite, fps) == expected
+        assert (counters.n_failed, counters.n_success, counters.counts) == (
+            oracle.n_failed, oracle.n_success, oracle.counts
         )
-        try:
-            if path == "fingerprints":
-                evaluations = matrix.evaluate_fingerprints(
-                    suite, fps, engine=engine
-                )
-            else:
-                evaluations = matrix.evaluate_shards(
-                    suite, [store.load(fp) for fp in fps], engine=engine
-                )
-        finally:
-            if engine is not None:
-                engine.close()
-        produced = _reconstructed(matrix, suite, evaluations)
-        assert produced == expected
-        for counter in ("pair_evaluations", "pair_hits", "kernel_calls"):
-            assert getattr(matrix, counter) == getattr(reference, counter)
-        assert _matrix_state(matrix, fps) == _matrix_state(reference, fps)
+        assert _matrix_state(matrix) == _matrix_state(reference)
 
 
 class TestLazyLoads:
@@ -287,9 +269,8 @@ class TestLazyLoads:
         store = _ingest(tmp_path / "c", payloads)
         fps = sorted(store.entries)
         cold = store.eval_matrix()
-        cold_logs = _reconstructed(
-            cold, suite, cold.evaluate_fingerprints(suite, fps)
-        )
+        cold.evaluate_fingerprints(suite, fps)
+        cold_logs = _reconstructed(cold, suite, fps)
         cold.save()
 
         loads: list[str] = []
@@ -301,9 +282,8 @@ class TestLazyLoads:
 
         monkeypatch.setattr(TraceStore, "load", counting_load)
         warm = TraceStore.open(tmp_path / "c").eval_matrix()
-        warm_logs = _reconstructed(
-            warm, suite, warm.evaluate_fingerprints(suite, fps)
-        )
+        warm.evaluate_fingerprints(suite, fps)
+        warm_logs = _reconstructed(warm, suite, fps)
         assert loads == []
         assert warm.pair_evaluations == 0
         assert warm.kernel_calls == 0
@@ -378,35 +358,10 @@ class TestGoldenReport:
     """
 
     def test_report_matches_committed_bytes(self, tmp_path):
-        root = tmp_path / "c"
-        shutil.copytree(FIXTURES / "golden_corpus", root)
-        golden = (FIXTURES / "golden_report.json").read_text()
-        assert _golden_report(root) == golden
-
-    def test_compact_clears_leftover_side_file(self, tmp_path, capsys):
         fixture = FIXTURES / "golden_corpus"
         before = _tree_digest(fixture)
         root = tmp_path / "c"
         shutil.copytree(fixture, root)
-        sid = TraceStore.open(root).shard_ids[0]
-        leftover = root / "shards" / sid / "columnar.bin"
-        leftover.write_bytes(b"\0" * 4096)
-
-        assert main(["corpus", "analyze", str(root)]) == 0  # ignores it
-        assert leftover.exists()
-        capsys.readouterr()
-        assert main(["corpus", "compact", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert not leftover.exists()
-        assert not list(root.glob("shards/*/columnar.bin"))
-        # the matrix files are already compact, so the leftover's bytes
-        # are exactly what compact reclaims
-        shard_bytes = out.split("shard bytes: ")[1].split(" (")[0]
-        before_bytes, after_bytes = (
-            int(part.replace(",", "")) for part in shard_bytes.split(" -> ")
-        )
-        assert before_bytes - after_bytes == 4096
-
         golden = (FIXTURES / "golden_report.json").read_text()
         assert _golden_report(root) == golden
         assert _tree_digest(fixture) == before

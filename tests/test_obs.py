@@ -595,7 +595,8 @@ class TestCorpusStatsJson:
     def test_stats_json_payload(self, seeded_corpus, capsys):
         assert main(["corpus", "stats", seeded_corpus, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
+        assert "shards" not in payload
         assert payload["program"] == "network-controlplane"
         assert payload["traces"]["total"] == payload["traces"]["pass"] + (
             payload["traces"]["fail"]
