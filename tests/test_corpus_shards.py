@@ -1,8 +1,8 @@
 """The corpus layout (one manifest, one ``traces/`` directory, one eval
 matrix), migration from the flat v1 layout, ``--jobs`` determinism of
 analyze (one global AC-DAG build per bootstrap), AC-DAG merging, and
-compaction.  Older sharded stores are covered by
-``test_corpus_migration.py``."""
+compaction.  Older sharded stores are covered here for every bucket
+width, and with memoized pairs by ``test_corpus_migration.py``."""
 
 from __future__ import annotations
 
@@ -153,7 +153,42 @@ class TestMigration:
             TraceStore.open(root)
 
 
-_JOBS = [pytest.param(1, id="serial"), pytest.param(2, id="thread2")]
+_LAYOUTS = [
+    pytest.param(
+        width, jobs, id=f"width{width}-{'serial' if jobs == 1 else 'thread2'}"
+    )
+    for width in (0, 1, 2)
+    for jobs in (1, 2)
+]
+
+
+def _build_v3_store(root, racy_program, corpus, width) -> None:
+    """The same traces as an unanalyzed version-3 store whose buckets
+    are ``width`` fingerprint characters (``all`` for width 0)."""
+    _build_store(root, racy_program, corpus)
+    rows = json.loads((root / "manifest.json").read_text())["traces"]
+    buckets: dict[str, dict] = {}
+    for fp, row in rows.items():
+        sid = fp[:width] if width else "all"
+        buckets.setdefault(sid, {})[fp] = row
+        traces = root / "shards" / sid / "traces"
+        traces.mkdir(parents=True, exist_ok=True)
+        (root / "traces" / f"{fp}.json").rename(traces / f"{fp}.json")
+    (root / "traces").rmdir()
+    for sid, bucket_rows in buckets.items():
+        (root / "shards" / sid / "manifest.json").write_text(
+            json.dumps({"traces": bucket_rows})
+        )
+    (root / "manifest.json").write_text(
+        json.dumps(
+            {
+                "version": 3,
+                "program": racy_program.name,
+                "shard_width": width,
+                "shards": sorted(buckets),
+            }
+        )
+    )
 
 
 def _incremental_report(root: Path, jobs: int) -> str:
@@ -169,7 +204,7 @@ def _incremental_report(root: Path, jobs: int) -> str:
 
 @pytest.fixture(scope="module")
 def reference_report(tmp_path_factory, racy_program, corpus) -> str:
-    """The serial report every job count must reproduce."""
+    """The serial report every layout and job count must reproduce."""
     root = tmp_path_factory.mktemp("reference") / "c"
     _build_store(root, racy_program, corpus)
     return _incremental_report(root, 1)
@@ -258,11 +293,15 @@ class TestShardParallelDeterminism:
             assert dict(a.observations) == dict(b.observations)
             assert (a.failed, a.seed) == (b.failed, b.seed)
 
-    @pytest.mark.parametrize("jobs", _JOBS)
-    def test_bootstrap_dag_equals_rebuild(
-        self, tmp_path, racy_program, corpus, reference_report, jobs
+    @pytest.mark.parametrize("width, jobs", _LAYOUTS)
+    def test_merged_dag_equals_rebuild(
+        self, tmp_path, racy_program, corpus, reference_report, width, jobs
     ):
-        store = _build_store(tmp_path / "c", racy_program, corpus)
+        # A v3 store of any bucket width migrates on open, and its
+        # buckets merge into one analysis.
+        _build_v3_store(tmp_path / "c", racy_program, corpus, width)
+        store = TraceStore.open(tmp_path / "c")
+        assert not (tmp_path / "c" / "shards").exists()
         engine = (
             ExecutionEngine(backend=make_backend("thread", jobs))
             if jobs > 1
@@ -277,7 +316,7 @@ class TestShardParallelDeterminism:
         assert pipeline.dag.structure() == pipeline.rebuild().structure()
 
         report_root = tmp_path / "r"
-        _build_store(report_root, racy_program, corpus)
+        _build_v3_store(report_root, racy_program, corpus, width)
         assert _incremental_report(report_root, jobs) == reference_report
 
     @pytest.mark.parametrize("suite_source", ("discovered", "persisted"))
